@@ -1,13 +1,14 @@
 """Command-line surface: constructions, certificates, search, and reports.
 
-Exit codes: 0 success, 1 input or validation failure, 2 capacity limit.
+Exit codes: 0 success, 1 input or validation failure or a failed
+certificate check (CertificateError, reported as "error: ..."), 2 capacity
+limit.
 All human-facing indices are 1-based; all behavior is flag-driven.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -31,11 +32,12 @@ from .exactlin import gram_certify
 from .search import conjecture_sweep, g_exact, implied_f_bound, johnson_omega
 from .setsys import (
     CapacityError,
+    CertificateError,
     ParameterError,
     family_from_dict,
     family_to_dict,
-    is_independent,
     mask_to_points,
+    violations,
 )
 
 
@@ -50,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, ValueError, OSError) as exc:
+    except (CertificateError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -235,17 +237,7 @@ def _cmd_family_from_hadamard(args: argparse.Namespace) -> int:
 
 def _cmd_family_verify(args: argparse.Namespace) -> int:
     family = family_from_dict(_load_json(args.file))
-    failures = []
-    for ev in family:
-        if ev.is_empty:
-            failures.append(f"event {ev} is empty")
-    for a, b in itertools.combinations(family, 2):
-        if not is_independent(a, b):
-            got = (a & b).size
-            failures.append(
-                f"{a} vs {b}: {family.space.n}*|A∩B| = {family.space.n * got} "
-                f"but |A|*|B| = {a.size * b.size}"
-            )
+    failures = list(violations(family))
     if failures:
         print(f"FAIL: {len(failures)} violation(s)")
         for line in failures:

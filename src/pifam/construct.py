@@ -23,6 +23,7 @@ from typing import Any
 
 from .setsys import (
     CapacityError,
+    CertificateError,
     Family,
     ParameterError,
     SampleSpace,
@@ -333,7 +334,8 @@ def hadamard_to_design(h: HadamardMatrix) -> Design:
         blocks.append(mask)
     design = Design(n - 1, n // 2 - 1, n // 4 - 1, tuple(blocks))
     report = check_design(design)
-    assert report.ok and report.symmetric, "Hadamard-derived design failed its axioms"
+    if not (report.ok and report.symmetric):
+        raise CertificateError("Hadamard-derived design failed its axioms")
     return design
 
 
@@ -348,7 +350,8 @@ def hadamard_family(h: HadamardMatrix) -> Family:
     events = [space.event_from_mask(blk | top) for blk in design.blocks]
     events.append(space.omega())
     family = Family(space, tuple(events))
-    assert is_valid_g_family(family), "Hadamard family failed the independence check"
+    if not is_valid_g_family(family):
+        raise CertificateError("Hadamard family failed the independence check")
     return family
 
 
@@ -378,7 +381,8 @@ def projective_plane(q: int) -> Design:
         blocks.append(mask)
     design = Design(v, q + 1, 1, tuple(blocks))
     report = check_design(design)
-    assert report.ok and report.symmetric, "projective plane failed the design axioms"
+    if not (report.ok and report.symmetric):
+        raise CertificateError("projective plane failed the design axioms")
     return design
 
 
@@ -414,7 +418,8 @@ def dualize_design(design: Design) -> Family:
         )
     n = r * r // design.lam
     space = SampleSpace(n)  # raises CapacityError above 63 points
-    assert design.b <= n, "design identities guarantee at most n blocks"
+    if design.b > n:
+        raise CertificateError("design identities guarantee at most n blocks")
     events = []
     for p in range(design.v):
         mask = 0
@@ -424,6 +429,8 @@ def dualize_design(design: Design) -> Family:
         events.append(space.event_from_mask(mask))
     events.append(space.omega())
     family = Family(space, tuple(events))
-    assert all(ev.size == r for ev in family.events[:-1])
-    assert is_valid_g_family(family), "dual family failed the independence check"
+    if any(ev.size != r for ev in family.events[:-1]):
+        raise CertificateError(f"a dual event does not have size r={r}")
+    if not is_valid_g_family(family):
+        raise CertificateError("dual family failed the independence check")
     return family

@@ -10,44 +10,18 @@ holds entrywise, where u_i = |A_i| and n*D_ii = n|A_i| - |A_i|^2.  When
 it holds and every event is nonempty, B^T B is positive definite, so B
 has full column rank and t = rank(B) <= n.  Everything here is integer
 arithmetic; a rank claim never rests on a floating-point tolerance.
+
+B itself is never built: the sizes, the Gram entries and the rank are
+all read off the event bitmasks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .setsys import Family, ParameterError
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """0/1 matrix with rows = sample points 1..n, columns = family events."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ParameterError("incidence matrix rows must have equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def t(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def incidence(family: Family) -> IncidenceMatrix:
-    """Incidence matrix of a family: entry (i, j) = 1 iff point i is in event j."""
-    n = family.space.n
-    rows = tuple(
-        tuple(1 if ev.mask >> i & 1 else 0 for ev in family) for i in range(n)
-    )
-    return IncidenceMatrix(rows)
+from .setsys import CertificateError, Family, ParameterError
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -79,7 +53,8 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
             head = row[col]
             for j in range(col + 1, width):
                 quot, rem = divmod(lead * row[j] - head * top[j], prev)
-                assert rem == 0, "Bareiss division is always exact"
+                if rem:
+                    raise CertificateError("Bareiss division left a remainder")
                 row[j] = quot
             row[col] = 0
         prev = lead
@@ -93,7 +68,7 @@ class GramReport:
 
     n: int
     t: int
-    sizes: tuple[int, ...]        # u_i = |A_i|, as incidence column sums
+    sizes: tuple[int, ...]        # u_i = |A_i|, the column sums of B
     diag_scaled: tuple[int, ...]  # n*D_ii = n|A_i| - |A_i|^2
     gram_ok: bool
     rank: int
@@ -117,22 +92,19 @@ def gram_certify(family: Family) -> GramReport:
     """
     if any(ev.is_empty for ev in family):
         raise ParameterError("gram certificates are defined for nonempty events only")
-    mat = incidence(family)
-    n, t = mat.n, mat.t
-    u = [sum(mat.entries[i][j] for i in range(n)) for j in range(t)]
-    gram = [
-        [sum(mat.entries[i][a] * mat.entries[i][b] for i in range(n)) for b in range(t)]
-        for a in range(t)
-    ]
+    n, t = family.space.n, len(family)
+    masks = family.masks()
+    u = [m.bit_count() for m in masks]
     diag = [n * ua - ua * ua for ua in u]
+    # the diagonal n|A_a| == u_a^2 + diag_a holds by definition of diag, so
+    # only the off-diagonal entries n|A_a & A_b| == u_a u_b carry information
     gram_ok = all(
-        n * gram[a][b] == u[a] * u[b] + (diag[a] if a == b else 0)
-        for a in range(t)
-        for b in range(t)
+        n * (masks[a] & masks[b]).bit_count() == u[a] * u[b]
+        for a, b in itertools.combinations(range(t), 2)
     )
-    rk = rank(mat.entries)
+    rk = rank([[m >> i & 1 for i in range(n)] for m in masks])
     full = rk == t
-    if gram_ok:
+    if gram_ok and not full:
         # positive definiteness of B^T B forces full column rank
-        assert full, "Gram identity holds but B is column rank deficient"
+        raise CertificateError("Gram identity holds but B is column rank deficient")
     return GramReport(n, t, tuple(u), tuple(diag), gram_ok, rk, full)

@@ -11,8 +11,6 @@ any pairwise work: sizes a and b can only be adjacent when n divides
 a*b, so subsets are admitted per size class (for prime n nothing
 survives and g(n) = 2 falls out immediately), and the full space --
 adjacent to everything -- is kept out of the branch-and-bound entirely.
-The full-subset-graph mode used to cross-check f(n) deliberately skips
-all of that and searches the raw graph.
 """
 
 from __future__ import annotations
@@ -26,13 +24,11 @@ from typing import Any, Iterable, Sequence
 from .construct import hadamard_family, hadamard_matrix
 from .setsys import (
     CapacityError,
+    CertificateError,
     ParameterError,
     SampleSpace,
     mask_to_points,
 )
-
-G_FAMILY = "family"   # nonempty subsets: the g(n) graph
-G_FULL = "full"       # all subsets including the empty set: the f(n) graph
 
 MAX_VERTICES = 1 << 20
 SEARCH_MAX_N = 16     # exhaustive g/f search capacity
@@ -68,21 +64,15 @@ class _BuiltGraph:
 
 @dataclass(frozen=True)
 class PowerSetGraphOracle:
-    """Graph on the subsets of {1..n}; edges are independent pairs."""
+    """Graph on the nonempty subsets of {1..n}; edges are independent pairs."""
 
     space: SampleSpace
-    mode: str = G_FAMILY
-
-    def __post_init__(self) -> None:
-        if self.mode not in (G_FAMILY, G_FULL):
-            raise ParameterError(f"unknown mode {self.mode!r}; use {G_FAMILY!r} or {G_FULL!r}")
 
     def vertex_count(self) -> int:
-        return (1 << self.space.n) - (1 if self.mode == G_FAMILY else 0)
+        return (1 << self.space.n) - 1
 
     def contains_vertex(self, mask: int) -> bool:
-        lo = 1 if self.mode == G_FAMILY else 0
-        return lo <= mask <= self.space.full_mask
+        return 1 <= mask <= self.space.full_mask
 
     def adjacent(self, a: int, b: int) -> bool:
         if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
@@ -94,18 +84,6 @@ class PowerSetGraphOracle:
         if 1 << n > MAX_VERTICES:
             raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
         full = self.space.full_mask
-        if self.mode == G_FULL:
-            # raw graph, no reductions: this is the independent cross-check path
-            cand = list(range(full + 1))
-            adj = [0] * len(cand)
-            for x, a in enumerate(cand):
-                pa = a.bit_count()
-                for y in range(x + 1, len(cand)):
-                    b = cand[y]
-                    if n * (a & b).bit_count() == pa * b.bit_count():
-                        adj[x] |= 1 << y
-                        adj[y] |= 1 << x
-            return _BuiltGraph((), cand, adj, None)
         proper = range(1, n)
         active = {a for a in proper if any(a * b % n == 0 for b in proper)}
         by_size: dict[int, list[int]] = {a: [] for a in sorted(active)}
@@ -375,7 +353,8 @@ def _verified(
     oracle: Any, witness: list[int], optimal: bool, nodes: int, method: str
 ) -> CliqueResult:
     for a, b in itertools.combinations(witness, 2):
-        assert oracle.adjacent(a, b), f"witness fails adjacency: {a} vs {b}"
+        if not oracle.adjacent(a, b):
+            raise CertificateError(f"witness fails adjacency: {a} vs {b}")
     return CliqueResult(len(witness), tuple(witness), optimal, nodes, method)
 
 
@@ -410,9 +389,10 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
                 f"no Hadamard generator covers n={n} (needs 4 | n and a Sylvester or "
                 f"Paley order); use method='search' for n <= {SEARCH_MAX_N}"
             )
-        oracle = PowerSetGraphOracle(space, G_FAMILY)
+        oracle = PowerSetGraphOracle(space)
         result = max_clique(oracle, upper_bound=n, seed_clique=family.masks())
-        assert result.size == n
+        if result.size != n:
+            raise CertificateError(f"Hadamard witness has {result.size} events, not n={n}")
         return replace(result, method="construction-plus-bound")
     if n > SEARCH_MAX_N:
         raise CapacityError(
@@ -421,31 +401,22 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
             if method == "auto"
             else f"exhaustive search is capped at n <= {SEARCH_MAX_N}, got n={n}"
         )
-    result = max_clique(PowerSetGraphOracle(space, G_FAMILY), upper_bound=n)
-    assert result.size <= n, "rank bound violated: more than n pairwise-independent events"
+    result = max_clique(PowerSetGraphOracle(space), upper_bound=n)
+    if result.size > n:
+        raise CertificateError("rank bound violated: more than n pairwise-independent events")
     return replace(result, method="search-exhaustive")
 
 
 def f_exact(n: int, method: str = "auto") -> CliqueResult:
     """Maximum number of pairwise independent events on {1..n}: g(n) + 1.
 
-    The witness adjoins the empty event to the g-witness.  For n <= 8 the
-    value is re-derived by branch-and-bound on the raw all-subsets graph,
-    which must agree and must place the empty and full sets in its clique.
+    Removing the empty event from a pairwise-independent family leaves a
+    g-family, so f <= g + 1; the empty event is independent of every event
+    B, because n*0 = 0*|B|, so it joins any g-family and f >= g + 1.  The
+    witness is the g-witness plus the empty event (mask 0).
     """
     gres = g_exact(n, method)
-    space = SampleSpace(n)
-    witness = gres.witness + (0,)
-    nodes = gres.nodes_explored
-    if n <= 8:
-        direct = max_clique(PowerSetGraphOracle(space, G_FULL))
-        nodes += direct.nodes_explored
-        if direct.size != gres.size + 1:
-            raise AssertionError(
-                f"raw subset-graph clique {direct.size} disagrees with g+1 = {gres.size + 1}"
-            )
-        assert 0 in direct.witness and space.full_mask in direct.witness
-    return CliqueResult(gres.size + 1, witness, gres.optimal, nodes, gres.method)
+    return replace(gres, size=gres.size + 1, witness=gres.witness + (0,))
 
 
 def implied_f_bound(n: int, r: int, s: int, omega: int) -> int | None:

@@ -27,6 +27,11 @@ class CapacityError(PifamError):
     """The request exceeds a hard size limit of the toolkit."""
 
 
+class CertificateError(PifamError):
+    """A result failed the check that certifies it: a defect in the code or in
+    a caller's graph oracle, not bad input."""
+
+
 MAX_POINTS = 63  # an event must fit one machine-width bitmask
 
 
@@ -196,13 +201,26 @@ def is_pairwise_independent(family: Iterable[Event]) -> bool:
     return all(is_independent(a, b) for a, b in itertools.combinations(family, 2))
 
 
+def violations(family: Family) -> Iterator[str]:
+    """Why a family is not a g-family: each empty event, then each dependent
+    pair, in family order.  Yields nothing for a valid family."""
+    n = family.space.n
+    for ev in family:
+        if ev.is_empty:
+            yield f"event {ev} is empty"
+    for a, b in itertools.combinations(family, 2):
+        if not is_independent(a, b):
+            yield (f"{a} vs {b}: {n}*|A∩B| = {n * (a & b).size} "
+                   f"but |A|*|B| = {a.size * b.size}")
+
+
 def is_valid_g_family(family: Family) -> bool:
     """Nonempty, distinct, pairwise independent: the object g(n) counts.
 
     Such a family is automatically intersecting, because nonempty
     independent events satisfy |A intersect B| = |A||B|/n > 0.
     """
-    return all(not ev.is_empty for ev in family) and is_pairwise_independent(family)
+    return not any(violations(family))
 
 
 def family_to_dict(family: Family) -> dict[str, Any]:

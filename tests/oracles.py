@@ -41,7 +41,16 @@ def independent_masks(n: int, a: int, b: int) -> bool:
 
 def brute_g(n: int) -> int:
     """g(n) via networkx max clique on the raw graph of nonempty subsets."""
-    verts = list(range(1, 1 << n))
+    return _subset_clique(n, range(1, 1 << n))
+
+
+def brute_f(n: int) -> int:
+    """f(n) via networkx max clique on the raw graph of all 2^n subsets,
+    the empty set included."""
+    return _subset_clique(n, range(1 << n))
+
+
+def _subset_clique(n: int, verts) -> int:
     graph = nx.Graph()
     graph.add_nodes_from(verts)
     for a, b in itertools.combinations(verts, 2):

@@ -2,6 +2,8 @@
 
 import json
 
+import pifam.cli
+from pifam import CertificateError
 from pifam.cli import main
 
 
@@ -203,6 +205,16 @@ def test_family_verify_flags_empty_event(tmp_path, capsys):
     code, out, _ = run(capsys, "family", "verify", str(family_file))
     assert code == 1
     assert "empty" in out
+
+
+def test_certificate_failure_exits_one(monkeypatch, capsys):
+    def broken(n, method):
+        raise CertificateError("witness fails adjacency: 1 vs 2")
+
+    monkeypatch.setattr(pifam.cli, "g_exact", broken)
+    code, out, err = run(capsys, "gmax", "--n", "4")
+    assert code == 1 and out == ""
+    assert err == "error: witness fails adjacency: 1 vs 2\n"
 
 
 def test_family_gram_rejects_empty_event(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Incidence matrices, the scaled Gram identity, and exact rank."""
+"""The incidence matrix's column sums, the scaled Gram identity, and exact rank."""
 
 import itertools
 import random
@@ -11,7 +11,6 @@ from pifam import (
     SampleSpace,
     gram_certify,
     hadamard_family,
-    incidence,
     is_pairwise_independent,
     rank,
     sylvester,
@@ -20,19 +19,21 @@ from pifam import (
 from oracles import fraction_rank
 
 
+def event_rows(family):
+    """The transposed incidence matrix: one 0/1 row per event."""
+    return [[m >> i & 1 for i in range(family.space.n)] for m in family.masks()]
+
+
 def test_incidence_examples():
-    assert incidence(Family.from_points(2, [[1, 2]])).entries == ((1,), (1,))
-    mat = incidence(Family.from_points(2, [[1], [1, 2]]))
-    assert mat.entries == ((1, 1), (0, 1))
-    assert (mat.n, mat.t) == (2, 2)
+    assert gram_certify(Family.from_points(2, [[1, 2]])).sizes == (2,)
+    rep = gram_certify(Family.from_points(2, [[1], [1, 2]]))
+    assert (rep.n, rep.t, rep.sizes) == (2, 2, (1, 2))
 
 
 def test_incidence_of_order_4_hadamard_family():
     # the order-4 witness family is three 2-sets through point 4 plus the
-    # full space, so the column sums must be (2, 2, 2, 4)
-    mat = incidence(hadamard_family(sylvester(2)))
-    sums = [sum(mat.entries[i][j] for i in range(mat.n)) for j in range(mat.t)]
-    assert sums == [2, 2, 2, 4]
+    # full space, so the incidence column sums must be (2, 2, 2, 4)
+    assert gram_certify(hadamard_family(sylvester(2))).sizes == (2, 2, 2, 4)
 
 
 def test_rank_examples():
@@ -40,7 +41,7 @@ def test_rank_examples():
     assert rank([[1, 1, 1], [1, 1, 1], [1, 1, 1]]) == 1
     assert rank([]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
-    assert rank(incidence(hadamard_family(sylvester(3))).entries) == 8
+    assert rank(event_rows(hadamard_family(sylvester(3)))) == 8
 
 
 def test_rank_rejects_ragged_input():

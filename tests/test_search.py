@@ -1,16 +1,19 @@
 """Branch-and-bound clique search, g/f computation, and the sweep."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pifam
 from pifam import (
     CapacityError,
     ExplicitGraphOracle,
     Family,
-    G_FAMILY,
-    G_FULL,
     JohnsonGraphOracle,
     ParameterError,
     PowerSetGraphOracle,
@@ -27,7 +30,7 @@ from pifam import (
     max_clique,
 )
 
-from oracles import brute_g, brute_johnson_omega, brute_max_clique
+from oracles import brute_f, brute_g, brute_johnson_omega, brute_max_clique
 
 # values computed with the networkx-based oracle in oracles.py, frozen here
 G_VALUES = {1: 1, 2: 2, 3: 2, 4: 4, 5: 2, 6: 3, 7: 2, 8: 8, 9: 8, 10: 3}
@@ -59,8 +62,32 @@ def test_max_clique_fuzz_against_networkx():
             assert oracle.adjacent(a, b)
 
 
+def test_witness_check_survives_optimized_mode():
+    # under python -O every assert is stripped; the witness re-verification
+    # must still catch an oracle whose adjacent() contradicts its own graph
+    code = """
+import sys
+from pifam import CertificateError, ExplicitGraphOracle, max_clique
+
+class Liar(ExplicitGraphOracle):
+    def adjacent(self, a, b):
+        return False
+
+triangle = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+try:
+    max_clique(Liar(triangle))
+except CertificateError as exc:
+    print(sys.flags.optimize, "CertificateError:", exc)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(pifam.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 CertificateError: witness fails adjacency")
+
+
 def test_max_clique_seed_and_bound():
-    oracle = PowerSetGraphOracle(SampleSpace(4), G_FAMILY)
+    oracle = PowerSetGraphOracle(SampleSpace(4))
     seed = hadamard_family(hadamard_matrix(4)).masks()
     result = max_clique(oracle, upper_bound=4, seed_clique=seed)
     assert result.size == 4 and result.optimal
@@ -69,7 +96,7 @@ def test_max_clique_seed_and_bound():
 
 
 def test_max_clique_rejects_bad_seeds():
-    oracle = PowerSetGraphOracle(SampleSpace(4), G_FAMILY)
+    oracle = PowerSetGraphOracle(SampleSpace(4))
     with pytest.raises(ParameterError):
         max_clique(oracle, seed_clique=[0b0001, 0b0010])  # not adjacent on n=4
     with pytest.raises(ParameterError):
@@ -79,15 +106,12 @@ def test_max_clique_rejects_bad_seeds():
 
 
 def test_power_set_oracle_contract():
-    oracle = PowerSetGraphOracle(SampleSpace(4), G_FAMILY)
+    oracle = PowerSetGraphOracle(SampleSpace(4))
     assert oracle.vertex_count() == 15
-    assert PowerSetGraphOracle(SampleSpace(4), G_FULL).vertex_count() == 16
     for a in range(1, 16):
         assert not oracle.adjacent(a, a)
         for b in range(1, 16):
             assert oracle.adjacent(a, b) == oracle.adjacent(b, a)
-    with pytest.raises(ParameterError):
-        PowerSetGraphOracle(SampleSpace(4), "everything")
 
 
 @pytest.mark.parametrize("n,value", sorted(G_VALUES.items()))
@@ -162,13 +186,10 @@ def test_f_exact_examples():
 
 
 def test_direct_full_graph_search_agrees_with_g_plus_one():
-    # the raw all-subsets graph is searched without any of the g-side
-    # reductions, so this is a genuine cross-check of the solver
+    # networkx searches the raw all-subsets graph, the empty set included,
+    # without any of the g-side reductions, so f = g + 1 is cross-checked
     for n in range(1, 9):
-        direct = max_clique(PowerSetGraphOracle(SampleSpace(n), G_FULL))
-        assert direct.size == G_VALUES[n] + 1
-        assert 0 in direct.witness
-        assert SampleSpace(n).full_mask in direct.witness
+        assert brute_f(n) == G_VALUES[n] + 1 == g_exact(n, "search").size + 1
 
 
 @pytest.mark.parametrize("key,value", sorted(JOHNSON_VALUES.items()))
@@ -203,7 +224,7 @@ def test_johnson_validation():
 
 
 def test_power_set_oracle_vertex_capacity():
-    oracle = PowerSetGraphOracle(SampleSpace(21), G_FAMILY)
+    oracle = PowerSetGraphOracle(SampleSpace(21))
     with pytest.raises(CapacityError):
         oracle.build_graph()  # 2^21 subsets exceed the vertex cap
 

@@ -18,6 +18,7 @@ from pifam import (
     mask_to_points,
     points_to_mask,
     probability,
+    violations,
 )
 
 
@@ -138,6 +139,12 @@ def test_pairwise_independence_examples():
 def test_valid_g_family_examples():
     assert is_valid_g_family(Family.from_points(2, [[1], [1, 2]]))
     assert not is_valid_g_family(Family.from_points(2, [[], [1, 2]]))
+    # empty events come first, then dependent pairs in family order
+    assert list(violations(Family.from_points(4, [[1], [], [1, 2]]))) == [
+        "event {} is empty",
+        "{1} vs {1,2}: 4*|A∩B| = 4 but |A|*|B| = 2",
+    ]
+    assert list(violations(Family.from_points(2, [[1], [1, 2]]))) == []
 
 
 def test_family_json_round_trip():
