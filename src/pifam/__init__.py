@@ -32,11 +32,9 @@ from .construct import (
     validate_design,
 )
 from .exactlin import GramReport, gram_certify, rank
+from .graphs import ExplicitGraphOracle, JohnsonGraphOracle, PowerSetGraphOracle
 from .search import (
     CliqueResult,
-    ExplicitGraphOracle,
-    JohnsonGraphOracle,
-    PowerSetGraphOracle,
     SweepRow,
     conjecture_sweep,
     f_exact,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .setsys import (
+    MAX_POINTS,
     CapacityError,
     CertificateError,
     Family,
@@ -161,12 +162,19 @@ def hadamard_to_text(h: HadamardMatrix) -> str:
     return "\n".join("".join("+" if x > 0 else "-" for x in row) for row in h.rows) + "\n"
 
 
+def _check_order(rows: int) -> None:
+    """Refuse a matrix file past MAX_ORDER rows before its O(n^3) H H^T check."""
+    if rows > MAX_ORDER:
+        raise CapacityError(f"matrix has more than {MAX_ORDER} rows, above the order limit")
+
+
 def hadamard_from_text(text: str) -> HadamardMatrix:
     rows = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
+        _check_order(len(rows) + 1)
         row = []
         for ch in line:
             if ch == "+":
@@ -188,6 +196,7 @@ def hadamard_to_json(h: HadamardMatrix) -> list[list[int]]:
 def hadamard_from_json(data: Any) -> HadamardMatrix:
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParameterError("matrix JSON must be a list of rows of +1/-1 integers")
+    _check_order(len(data))
     return HadamardMatrix(tuple(tuple(row) for row in data))
 
 
@@ -245,6 +254,8 @@ def design_from_dict(data: Any) -> Design:
     for name, value in ("v", v), ("k", k), ("lambda", lam):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(f'design JSON field "{name}" must be an integer')
+    if v > MAX_POINTS:
+        raise CapacityError(f"design has v={v} points, above the {MAX_POINTS}-point limit")
     if not isinstance(raw, list):
         raise ParameterError('design JSON field "blocks" must be a list of point lists')
     blocks = []

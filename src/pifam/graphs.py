@@ -1,0 +1,299 @@
+"""Graph oracles for the clique searches, and their candidate graphs.
+
+An oracle defines a graph -- its vertices, adjacency and how a vertex is
+written out -- and names its roots: forced clique prefixes, one per orbit
+of a symmetry group of the graph, such that some maximum clique is the
+image of a clique through some root.  The proofs are in the docstrings of
+the oracles' `roots`.  `build_graph(root)` builds only that root's
+candidate graph: vertices adjacent to the whole prefix, generated
+directly by intersection size, with adjacency rows from bit-sliced
+intersection counts, in reverse degeneracy order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+from .setsys import CapacityError, ParameterError, SampleSpace, mask_to_points
+
+MAX_VERTICES = 1 << 20
+
+
+@dataclass
+class _BuiltGraph:
+    prefix: tuple[int, ...]  # forced vertices, pairwise adjacent
+    cand: list[int]          # vertices adjacent to every prefix vertex, in search order
+    adj: list[int]           # adjacency bitsets over cand indices
+
+
+def _ordered(
+    prefix: tuple[int, ...], cand: list[int], rows: Callable[[list[int]], list[int]]
+) -> _BuiltGraph:
+    """The graph on `cand` in reverse degeneracy order; rows(c) gives the
+    adjacency bitsets of the vertex list c, in c's own indices."""
+    perm = _degeneracy_permutation(rows(cand))
+    cand = [cand[i] for i in perm]
+    return _BuiltGraph(prefix, cand, rows(cand))
+
+
+def _degeneracy_permutation(adj: list[int]) -> list[int]:
+    """Reverse degeneracy order: densest-core vertices first.
+
+    Peels the live vertex of least remaining degree, ties toward the
+    smallest index, so runs are reproducible.  The degrees are binary
+    counters sliced across all vertices, so finding the least degree and
+    removing a vertex's edges take a few whole-bitset steps per vertex, not
+    one step per edge.
+    """
+    m = len(adj)
+    slices = [0] * m.bit_length()  # bit k of every vertex's degree
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        for k in range(d.bit_length()):
+            if d >> k & 1:
+                slices[k] |= 1 << v
+    alive = (1 << m) - 1
+    peel: list[int] = []
+    while alive:
+        least = alive
+        for s in reversed(slices):
+            if least & ~s:
+                least &= ~s
+        v = (least & -least).bit_length() - 1
+        peel.append(v)
+        alive ^= 1 << v
+        borrow = adj[v] & alive
+        for k, s in enumerate(slices):
+            if not borrow:
+                break
+            slices[k] = s ^ borrow
+            borrow &= ~s
+    peel.reverse()
+    return peel
+
+
+def _choose(inside: int, k_in: int, outside: int, k_out: int) -> Iterator[int]:
+    """Masks made of k_in points of `inside` and k_out points of `outside`."""
+    bits_in = [1 << i for i in range(inside.bit_length()) if inside >> i & 1]
+    bits_out = [1 << i for i in range(outside.bit_length()) if outside >> i & 1]
+    for a in itertools.combinations(bits_in, k_in):
+        base = sum(a)
+        for b in itertools.combinations(bits_out, k_out):
+            yield base + sum(b)
+
+
+def _intersection_graph(
+    cand: list[int], meet: Callable[[int, int], int | None]
+) -> list[int]:
+    """Adjacency rows over `cand`, x ~ y iff |x∩y| = meet(|x|, |y|).
+
+    Bit-sliced counting: column p is the bitset of candidates holding
+    point p; adding the columns of x's points into binary counter slices
+    gives |x∩y| for every y at once, and matching the slices against the
+    wanted count reads off x's row without testing any pair.
+    """
+    cols: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    for i, mask in enumerate(cand):
+        bit = 1 << i
+        sizes[mask.bit_count()] = sizes.get(mask.bit_count(), 0) | bit
+        while mask:
+            low = mask & -mask
+            cols[low] = cols.get(low, 0) | bit
+            mask ^= low
+    adj = []
+    for i, x in enumerate(cand):
+        slices: list[int] = []
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            carry = cols[low]
+            for k, s in enumerate(slices):
+                slices[k] = s ^ carry
+                carry &= s
+                if not carry:
+                    break
+            if carry:
+                slices.append(carry)
+        row = 0
+        for b, members in sizes.items():
+            w = meet(x.bit_count(), b)
+            if w is None or w >> len(slices):
+                continue
+            for k, s in enumerate(slices):
+                members &= s if w >> k & 1 else ~s
+            row |= members
+        adj.append(row & ~(1 << i))
+    return adj
+
+
+@dataclass(frozen=True)
+class PowerSetGraphOracle:
+    """Graph on the nonempty subsets of {1..n}; edges are independent pairs."""
+
+    space: SampleSpace
+
+    def vertex_count(self) -> int:
+        return (1 << self.space.n) - 1
+
+    def contains_vertex(self, mask: int) -> bool:
+        return 1 <= mask <= self.space.full_mask
+
+    def adjacent(self, a: int, b: int) -> bool:
+        if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
+            return False
+        return self.space.n * (a & b).bit_count() == a.bit_count() * b.bit_count()
+
+    def vertex_to_json(self, mask: int) -> list[int]:
+        return list(mask_to_points(mask))
+
+    def _meet(self, a: int, b: int) -> int | None:
+        """The intersection size that makes events of sizes a and b independent."""
+        n = self.space.n
+        return None if a * b % n else a * b // n
+
+    def roots(self) -> list[tuple[int, ...]]:
+        """Roots (Ω, v_a) for a = ⌊n/2⌋ down to 1, v_a = {n} ∪ {1..a-1}; (Ω,) if n = 1.
+
+        Soundness, for a maximum clique K:
+        * Full space: n|Ω∩B| = n|B| = |Ω||B| for every B, so Ω is adjacent
+          to every vertex and K may be taken to contain it.
+        * Complement: for a proper event A and any B, n|Aᶜ∩B| - |Aᶜ||B| =
+          -(n|A∩B| - |A||B|), so Aᶜ is independent of B exactly when A is,
+          and n|A∩Aᶜ| = 0 < |A||Aᶜ|, so A and Aᶜ are never adjacent.
+          Swapping A with Aᶜ is therefore an automorphism of the graph, and
+          so is every permutation of the points.
+        * Orbits: for n > 1, K has a proper member B; swap it with its
+          complement if |B| > n/2, so that a = |B| <= n/2, and permute the
+          points to take B onto v_a.  Then swap each other proper member
+          that misses point n with its complement.  The image is a clique
+          of |K| events through Ω and v_a whose proper events all contain n.
+        So g = 2 + max over a of ω(the events containing n that are
+        independent of v_a), the graphs `build_graph` generates, or 1 when
+        n = 1.  Balanced sizes come first, where the Hadamard-type maxima
+        live, so the incumbent grows early.
+        """
+        n = self.space.n
+        full = self.space.full_mask
+        top = 1 << (n - 1)
+        return [(full, top | (1 << (a - 1)) - 1) for a in range(n // 2, 0, -1)] or [(full,)]
+
+    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
+        """The whole graph for an empty prefix, else the candidate graph of
+        a root from `roots()`: with v its last event, the events containing
+        point n of each size b with n | |v|b, made of w - 1 points of
+        v - {n} and b - w points outside v, where w = |v|b/n."""
+        n = self.space.n
+        if 1 << n > MAX_VERTICES:
+            raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
+        full = self.space.full_mask
+        if not prefix:
+            cand = list(range(1, full + 1))
+        else:
+            v, top = prefix[-1], 1 << (n - 1)
+            cand = []
+            for b in range(1, n):
+                w = self._meet(v.bit_count(), b)
+                if w is not None:
+                    cand += [top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w)]
+        return _ordered(prefix, cand, lambda c: _intersection_graph(c, self._meet))
+
+
+@dataclass(frozen=True)
+class JohnsonGraphOracle:
+    """Graph on the r-subsets of {1..n} with edges where |A∩B| = s."""
+
+    n: int
+    r: int
+    s: int
+
+    def __post_init__(self) -> None:
+        if not self.n > self.r > self.s >= 1:
+            raise ParameterError(f"need n > r > s >= 1, got ({self.n}, {self.r}, {self.s})")
+        if math.comb(self.n, self.r) > MAX_VERTICES:
+            raise CapacityError(
+                f"C({self.n},{self.r}) = {math.comb(self.n, self.r)} vertices exceed "
+                f"the {MAX_VERTICES} limit"
+            )
+
+    def vertex_count(self) -> int:
+        return math.comb(self.n, self.r)
+
+    def contains_vertex(self, mask: int) -> bool:
+        return 0 < mask < 1 << self.n and mask.bit_count() == self.r
+
+    def adjacent(self, a: int, b: int) -> bool:
+        if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
+            return False
+        return (a & b).bit_count() == self.s
+
+    def vertex_to_json(self, mask: int) -> list[int]:
+        return list(mask_to_points(mask))
+
+    def roots(self) -> list[tuple[int, ...]]:
+        """The single root v0 = {1..r}.
+
+        Soundness: a permutation of {1..n} preserves sizes and
+        intersection sizes, so it is an automorphism of the graph, and the
+        symmetric group is transitive on r-sets.  Some permutation maps
+        any maximum clique onto one through v0, so ω = 1 + ω(N(v0)).
+        """
+        return [((1 << self.r) - 1,)]
+
+    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
+        """The whole graph for an empty prefix, else N(v) for the root (v,):
+        s points inside v and r - s outside."""
+        full = (1 << self.n) - 1
+        if prefix:
+            (v,) = prefix
+            cand = list(_choose(v, self.s, full ^ v, self.r - self.s))
+        else:
+            cand = list(_choose(0, 0, full, self.r))
+        return _ordered(prefix, cand, lambda c: _intersection_graph(c, lambda a, b: self.s))
+
+
+@dataclass(frozen=True)
+class ExplicitGraphOracle:
+    """Graph given by a symmetric 0/1 adjacency matrix; vertices are indices."""
+
+    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
+        m = len(self.matrix)
+        for i, row in enumerate(self.matrix):
+            if len(row) != m:
+                raise ParameterError("adjacency matrix must be square")
+            if row[i]:
+                raise ParameterError("adjacency matrix must have a zero diagonal")
+            for j in range(m):
+                if bool(row[j]) != bool(self.matrix[j][i]):
+                    raise ParameterError("adjacency matrix must be symmetric")
+
+    def vertex_count(self) -> int:
+        return len(self.matrix)
+
+    def contains_vertex(self, v: int) -> bool:
+        return 0 <= v < len(self.matrix)
+
+    def adjacent(self, a: int, b: int) -> bool:
+        return self.contains_vertex(a) and self.contains_vertex(b) and bool(self.matrix[a][b])
+
+    def vertex_to_json(self, v: int) -> int:
+        return v
+
+    def roots(self) -> list[tuple[int, ...]]:
+        """The empty prefix: no symmetry is assumed, the whole graph is searched."""
+        return [()]
+
+    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
+        """The whole graph; the empty prefix is the only root."""
+
+        def rows(c: list[int]) -> list[int]:
+            return [sum(1 << k for k, u in enumerate(c) if self.matrix[v][u]) for v in c]
+
+        return _ordered((), list(range(len(self.matrix))), rows)

@@ -4,33 +4,23 @@ g(n) is the clique number of the graph on nonempty subsets of {1..n}
 with edges where n|A∩B| = |A||B|; f(n) = g(n) + 1 is the clique number
 of the same graph over all subsets (the empty set joins for free).
 
-The solver is a deterministic branch-and-bound with greedy-coloring
-upper bounds over bitset adjacency rows, on vertices relabeled in
-reverse degeneracy order.  The family-graph builder prunes hard before
-any pairwise work: sizes a and b can only be adjacent when n divides
-a*b, so subsets are admitted per size class (for prime n nothing
-survives and g(n) = 2 falls out immediately), and the full space --
-adjacent to everything -- is kept out of the branch-and-bound entirely.
+`max_clique` searches the candidate graph of each root of a graph oracle
+(see `pifam.graphs`) with a deterministic branch-and-bound with
+greedy-coloring upper bounds over bitset adjacency rows.  One incumbent
+is kept across the roots, and the search stops as soon as it meets a
+proven upper bound.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Sequence
 
-from .construct import hadamard_family, hadamard_matrix
-from .setsys import (
-    CapacityError,
-    CertificateError,
-    ParameterError,
-    SampleSpace,
-    mask_to_points,
-)
+from .construct import _is_prime, hadamard_family, hadamard_matrix, projective_plane
+from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
+from .setsys import CapacityError, CertificateError, ParameterError, SampleSpace
 
-MAX_VERTICES = 1 << 20
 SEARCH_MAX_N = 16     # exhaustive g/f search capacity
 
 
@@ -39,186 +29,20 @@ class CliqueResult:
     """A clique plus the evidence trail of the search that produced it."""
 
     size: int
-    witness: tuple[int, ...]   # vertex bitmasks (indices for explicit graphs)
+    witness: tuple[int, ...]   # vertices as the oracle defines them
     optimal: bool
     nodes_explored: int
     method: str
+    oracle: Any = field(repr=False, compare=False)  # serializes the witness vertices
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "size": self.size,
             "optimal": self.optimal,
-            "witness": [list(mask_to_points(m)) for m in self.witness],
+            "witness": [self.oracle.vertex_to_json(v) for v in self.witness],
             "nodes_explored": self.nodes_explored,
             "method": self.method,
         }
-
-
-@dataclass
-class _BuiltGraph:
-    universal: tuple[int, ...]  # vertices adjacent to everything, and to each other
-    cand: list[int]             # vertices that can carry a non-universal edge
-    adj: list[int]              # adjacency bitsets over cand indices
-    spare: int | None           # a vertex outside universal+cand, if any exists
-
-
-@dataclass(frozen=True)
-class PowerSetGraphOracle:
-    """Graph on the nonempty subsets of {1..n}; edges are independent pairs."""
-
-    space: SampleSpace
-
-    def vertex_count(self) -> int:
-        return (1 << self.space.n) - 1
-
-    def contains_vertex(self, mask: int) -> bool:
-        return 1 <= mask <= self.space.full_mask
-
-    def adjacent(self, a: int, b: int) -> bool:
-        if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
-            return False
-        return self.space.n * (a & b).bit_count() == a.bit_count() * b.bit_count()
-
-    def build_graph(self) -> _BuiltGraph:
-        n = self.space.n
-        if 1 << n > MAX_VERTICES:
-            raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
-        full = self.space.full_mask
-        proper = range(1, n)
-        active = {a for a in proper if any(a * b % n == 0 for b in proper)}
-        by_size: dict[int, list[int]] = {a: [] for a in sorted(active)}
-        cand: list[int] = []
-        for mask in range(1, full):
-            size = mask.bit_count()
-            if size in active:
-                by_size[size].append(len(cand))
-                cand.append(mask)
-        adj = [0] * len(cand)
-        for a, b in itertools.combinations_with_replacement(sorted(active), 2):
-            if a * b % n:
-                continue
-            want = a * b // n
-            if a == b:
-                pairs: Iterable[tuple[int, int]] = itertools.combinations(by_size[a], 2)
-            else:
-                pairs = itertools.product(by_size[a], by_size[b])
-            for x, y in pairs:
-                if (cand[x] & cand[y]).bit_count() == want:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-        inactive = [a for a in proper if a not in active]
-        spare = (1 << inactive[0]) - 1 if inactive else None
-        return _BuiltGraph((full,), cand, adj, spare)
-
-
-@dataclass(frozen=True)
-class JohnsonGraphOracle:
-    """Graph on the r-subsets of {1..n} with edges where |A∩B| = s."""
-
-    n: int
-    r: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if not self.n > self.r > self.s >= 1:
-            raise ParameterError(f"need n > r > s >= 1, got ({self.n}, {self.r}, {self.s})")
-        if math.comb(self.n, self.r) > MAX_VERTICES:
-            raise CapacityError(
-                f"C({self.n},{self.r}) = {math.comb(self.n, self.r)} vertices exceed "
-                f"the {MAX_VERTICES} limit"
-            )
-
-    def vertex_count(self) -> int:
-        return math.comb(self.n, self.r)
-
-    def contains_vertex(self, mask: int) -> bool:
-        return 0 < mask < 1 << self.n and mask.bit_count() == self.r
-
-    def adjacent(self, a: int, b: int) -> bool:
-        if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
-            return False
-        return (a & b).bit_count() == self.s
-
-    def build_graph(self) -> _BuiltGraph:
-        cand = sorted(
-            sum(1 << (p - 1) for p in combo)
-            for combo in itertools.combinations(range(1, self.n + 1), self.r)
-        )
-        m = len(cand)
-        adj = [0] * m
-        for x in range(m):
-            a = cand[x]
-            for y in range(x + 1, m):
-                if (a & cand[y]).bit_count() == self.s:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-        return _BuiltGraph((), cand, adj, None)
-
-
-@dataclass(frozen=True)
-class ExplicitGraphOracle:
-    """Graph given by a symmetric 0/1 adjacency matrix; vertices are indices."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
-        m = len(self.matrix)
-        for i, row in enumerate(self.matrix):
-            if len(row) != m:
-                raise ParameterError("adjacency matrix must be square")
-            if row[i]:
-                raise ParameterError("adjacency matrix must have a zero diagonal")
-            for j in range(m):
-                if bool(row[j]) != bool(self.matrix[j][i]):
-                    raise ParameterError("adjacency matrix must be symmetric")
-
-    def vertex_count(self) -> int:
-        return len(self.matrix)
-
-    def contains_vertex(self, v: int) -> bool:
-        return 0 <= v < len(self.matrix)
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return self.contains_vertex(a) and self.contains_vertex(b) and bool(self.matrix[a][b])
-
-    def build_graph(self) -> _BuiltGraph:
-        m = len(self.matrix)
-        adj = [0] * m
-        for i in range(m):
-            for j in range(m):
-                if self.matrix[i][j]:
-                    adj[i] |= 1 << j
-        return _BuiltGraph((), list(range(m)), adj, None)
-
-
-def _degeneracy_permutation(adj: list[int]) -> list[int]:
-    """Reverse degeneracy order: densest-core vertices first.
-
-    Ties break toward the smallest index, which is the smallest bitmask
-    by construction, so runs are reproducible.
-    """
-    m = len(adj)
-    cur = [a.bit_count() for a in adj]
-    heap = [(cur[v], v) for v in range(m)]
-    heapq.heapify(heap)
-    alive = (1 << m) - 1
-    peel: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if not alive >> v & 1 or d != cur[v]:
-            continue
-        peel.append(v)
-        alive ^= 1 << v
-        nb = adj[v] & alive
-        while nb:
-            low = nb & -nb
-            u = low.bit_length() - 1
-            nb ^= low
-            cur[u] -= 1
-            heapq.heappush(heap, (cur[u], u))
-    peel.reverse()
-    return peel
 
 
 def _color_sort(p: int, adj: list[int]) -> tuple[list[int], list[int]]:
@@ -289,13 +113,16 @@ def max_clique(
 ) -> CliqueResult:
     """Exact maximum clique over a graph oracle.
 
-    `upper_bound`, when given, must be a valid bound on the clique
-    number; the search stops with optimal=True as soon as the incumbent
-    reaches it (this is how a construction meeting a proven bound turns
-    into an instant optimality certificate).  `seed_clique` primes the
-    incumbent and must be pairwise adjacent.  The returned witness is
-    re-verified through the oracle before returning, independently of
-    the search internals.
+    Searches the candidate graph of each of `oracle.roots()` in turn,
+    keeping one incumbent across them.  `upper_bound`, when given, must be
+    a valid bound on the clique number; the search stops with optimal=True
+    as soon as the incumbent reaches it (this is how a construction meeting
+    a proven bound turns into an instant optimality certificate).
+    `seed_clique` primes the incumbent and must be pairwise adjacent.  The
+    method is "bound-met-by-seed" when the seed alone reaches the bound,
+    "bound-met-by-search" when the search does, else "branch-and-bound".
+    The returned witness is re-verified through the oracle before
+    returning, independently of the search internals.
     """
     seed = tuple(seed_clique) if seed_clique else ()
     if len(set(seed)) != len(seed):
@@ -307,45 +134,26 @@ def max_clique(
         if not oracle.adjacent(a, b):
             raise ParameterError(f"seed clique is not pairwise adjacent: {a} vs {b}")
 
+    def met(size: int) -> bool:
+        return upper_bound is not None and size >= upper_bound
+
     best: list[int] = list(seed)
-    if upper_bound is not None and len(best) >= upper_bound:
+    if met(len(best)):
         return _verified(oracle, best, True, 0, "bound-met-by-seed")
-
-    graph = oracle.build_graph()
-    base = list(graph.universal)
-    if len(base) > len(best):
-        best = base.copy()
-    if graph.spare is not None and len(base) + 1 > len(best):
-        best = base + [graph.spare]
-    if upper_bound is not None and len(best) >= upper_bound:
-        return _verified(oracle, best, True, 0, "bound-met-by-seed")
-
     nodes = 0
-    if graph.cand:
-        perm = _degeneracy_permutation(graph.adj)
-        inv = [0] * len(perm)
-        for new, old in enumerate(perm):
-            inv[old] = new
-        masks = [graph.cand[old] for old in perm]
-        adj = [0] * len(perm)
-        for new, old in enumerate(perm):
-            bits = graph.adj[old]
-            acc = 0
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                acc |= 1 << inv[low.bit_length() - 1]
-            adj[new] = acc
-        lower = len(best) - len(base)
-        cap = None if upper_bound is None else upper_bound - len(base)
-        size, bits, nodes = _branch_and_bound(adj, lower, cap)
-        if len(base) + size > len(best):
-            chosen = []
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                chosen.append(masks[low.bit_length() - 1])
-            best = base + sorted(chosen)
+    for root in oracle.roots():
+        graph = oracle.build_graph(root)
+        base = list(graph.prefix)
+        if len(base) > len(best):
+            best = base
+        if graph.cand and not met(len(best)):
+            cap = None if upper_bound is None else upper_bound - len(base)
+            size, bits, used = _branch_and_bound(graph.adj, len(best) - len(base), cap)
+            nodes += used
+            if len(base) + size > len(best):
+                best = base + sorted(v for i, v in enumerate(graph.cand) if bits >> i & 1)
+        if met(len(best)):
+            return _verified(oracle, best, True, nodes, "bound-met-by-search")
     return _verified(oracle, best, True, nodes, "branch-and-bound")
 
 
@@ -355,7 +163,7 @@ def _verified(
     for a, b in itertools.combinations(witness, 2):
         if not oracle.adjacent(a, b):
             raise CertificateError(f"witness fails adjacency: {a} vs {b}")
-    return CliqueResult(len(witness), tuple(witness), optimal, nodes, method)
+    return CliqueResult(len(witness), tuple(witness), optimal, nodes, method, oracle)
 
 
 def _try_hadamard_family(n: int):
@@ -428,20 +236,39 @@ def implied_f_bound(n: int, r: int, s: int, omega: int) -> int | None:
 def johnson_omega(n: int, r: int, s: int) -> CliqueResult:
     """Exact clique number of the graph of r-subsets of {1..n} meeting in s points.
 
-    When n*s = r^2 these cliques are pairwise-independent families, so
-    the clique number is at most n-1; a Hadamard witness is used as a
-    seed when (r, s) = (n/2, n/4) and a generator covers n.
+    The search stops at the least of three proven upper bounds, and
+    `method` names the one that closed it ("deza-bound-met-by-seed", ...):
+    * fisher, ω <= n: the incidence rows M of a clique have Gram matrix
+      M Mᵀ = (r - s)I + sJ, which is positive definite as r > s, so the
+      clique has at most rank M <= n members.
+    * deza, ω <= max(r² - r + 1, ⌊(n - s)/(r - s)⌋): by Deza's theorem
+      (JCTB 1974), more than r² - r + 1 r-sets meeting pairwise in exactly
+      s points form a sunflower -- all share one s-set -- and a sunflower
+      has at most ⌊(n - s)/(r - s)⌋ petals, disjoint (r - s)-sets among the
+      other n - s points.
+    * gram, ω <= n - 1 when n*s = r^2: the clique is then a family of
+      pairwise-independent events, and with the full space added it obeys
+      g(n) <= n.
+    Seeds: the lines of the projective plane of prime order r - 1 (a
+    clique of r² - r + 1 r-sets when s = 1 and r² - r + 1 <= n), and the
+    proper events of a Hadamard witness when (r, s) = (n/2, n/4).
     """
     oracle = JohnsonGraphOracle(n, r, s)
-    bound = None
+    bounds = {"deza": max(r * r - r + 1, (n - s) // (r - s)), "fisher": n}
     seed = None
     if n * s == r * r:
-        bound = n - 1
+        bounds["gram"] = n - 1
         if 2 * r == n and 4 * s == n:
             family = _try_hadamard_family(n)
             if family is not None:
                 seed = family.masks()[:-1]  # proper events only
-    return max_clique(oracle, upper_bound=bound, seed_clique=seed)
+    if s == 1 and r * r - r + 1 <= n and _is_prime(r - 1):
+        seed = projective_plane(r - 1).blocks
+    name = min(bounds, key=bounds.__getitem__)
+    result = max_clique(oracle, upper_bound=bounds[name], seed_clique=seed)
+    if result.method.startswith("bound-met"):
+        result = replace(result, method=f"{name}-{result.method}")
+    return result
 
 
 @dataclass(frozen=True)

@@ -271,3 +271,23 @@ def test_written_families_reload_identically(tmp_path, capsys):
     code, out, _ = run(capsys, "family", "gram", str(first))
     assert code == 0
     assert json.loads(out)["t"] == len(reloaded["events"])
+
+
+def test_oversized_matrix_file_exits_two(tmp_path, capsys):
+    # 65 rows are refused by count, before the O(n^3) orthogonality check
+    text_file = tmp_path / "h65.txt"
+    text_file.write_text(("+" * 65 + "\n") * 65)
+    json_file = tmp_path / "h65.json"
+    json_file.write_text(json.dumps([[1] * 65] * 65))
+    for path in (text_file, json_file):
+        code, _, err = run(capsys, "design", "from-hadamard", "--matrix", str(path))
+        assert code == 2
+        assert "64 rows" in err
+
+
+def test_oversized_design_file_exits_two(tmp_path, capsys):
+    design_file = tmp_path / "d64.json"
+    design_file.write_text(json.dumps({"v": 64, "k": 2, "lambda": 1, "blocks": [[1, 64]]}))
+    code, _, err = run(capsys, "design", "check", str(design_file))
+    assert code == 2
+    assert "v=64" in err

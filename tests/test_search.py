@@ -1,6 +1,7 @@
 """Branch-and-bound clique search, g/f computation, and the sweep."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -126,9 +127,29 @@ def test_g_exact_matches_frozen_oracle_values(n, value):
 
 
 def test_g_exact_oracle_rederivation_small_n():
-    # re-derive the frozen table live for the cheap sizes
-    for n in range(1, 9):
+    # re-derive the frozen table live: networkx on the raw subset graph
+    for n in range(1, 10):
         assert brute_g(n) == G_VALUES[n] == g_exact(n, "search").size
+
+
+class WholePowerSetGraph(PowerSetGraphOracle):
+    """The same graph with the root reductions switched off."""
+
+    def roots(self):
+        return [()]
+
+
+class WholeJohnsonGraph(JohnsonGraphOracle):
+    def roots(self):
+        return [()]
+
+
+@pytest.mark.parametrize("n", sorted(G_VALUES))
+def test_root_reduction_matches_unreduced_search(n):
+    # complement halving and one root per size class give the clique
+    # number of the whole graph, searched from the empty prefix
+    whole = max_clique(WholePowerSetGraph(SampleSpace(n)))
+    assert whole.size == G_VALUES[n] == g_exact(n, "search").size
 
 
 def test_g_exact_construct_method():
@@ -143,6 +164,12 @@ def test_g_exact_construct_method():
         g_exact(6, "construct")
     with pytest.raises(CapacityError):
         g_exact(9, "construct")
+
+
+def test_search_at_the_capacity_agrees_with_the_hadamard_route():
+    result = g_exact(16, "search")
+    assert result.size == 16 == g_exact(16, "construct").size
+    assert result.optimal and is_valid_g_family(Family.from_masks(16, result.witness))
 
 
 def test_g_exact_auto_prefers_construction():
@@ -207,10 +234,50 @@ def test_johnson_omega_oracle_rederivation():
         assert brute_johnson_omega(n, r, s) == value
 
 
+SMALL_JOHNSON = [
+    (n, r, s)
+    for n in range(4, 10)
+    for r in range(2, n - 1)
+    for s in range(1, r)
+    if math.comb(n, r) <= 130
+]
+
+
+@pytest.mark.parametrize("n,r,s", SMALL_JOHNSON)
+def test_johnson_omega_matches_networkx(n, r, s):
+    # the single root, the Deza/Fisher/Gram bounds and the plane seeds
+    # against networkx on the whole graph, several s per r
+    result = johnson_omega(n, r, s)
+    assert result.size == brute_johnson_omega(n, r, s)
+    assert result.optimal and len(set(result.witness)) == result.size
+    oracle = JohnsonGraphOracle(n, r, s)
+    for a, b in itertools.combinations(result.witness, 2):
+        assert oracle.adjacent(a, b)
+
+
+def test_johnson_root_matches_unreduced_search():
+    for key in ((10, 4, 2), (10, 5, 1), (7, 3, 1)):
+        assert johnson_omega(*key).size == max_clique(WholeJohnsonGraph(*key)).size
+
+
+@pytest.mark.parametrize("key,value,method", [
+    ((16, 4, 1), 13, "deza-bound-met-by-seed"),  # 13 lines of the plane of order 3
+    ((13, 3, 1), 7, "deza-bound-met-by-seed"),   # the Fano plane
+    ((9, 3, 1), 7, "deza-bound-met-by-seed"),
+    ((20, 2, 1), 19, "deza-bound-met-by-search"),  # a sunflower of 19 pairs
+    ((11, 5, 2), 11, "fisher-bound-met-by-search"),  # the blocks of a 2-(11,5,2) design
+])
+def test_johnson_closed_by_a_named_bound(key, value, method):
+    result = johnson_omega(*key)
+    assert (result.size, result.optimal, result.method) == (value, True, method)
+    if method.endswith("seed"):
+        assert result.nodes_explored == 0
+
+
 def test_johnson_hadamard_seed_path():
     result = johnson_omega(12, 6, 3)
     assert result.size == 11
-    assert result.method == "bound-met-by-seed"
+    assert result.method == "gram-bound-met-by-seed"  # the n - 1 bound closed it
     assert johnson_omega(16, 8, 4).size == 15
 
 
@@ -249,6 +316,12 @@ def test_search_is_deterministic():
     x = johnson_omega(9, 3, 1)
     y = johnson_omega(9, 3, 1)
     assert x == y
+
+
+def test_explicit_witness_serializes_as_indices():
+    result = max_clique(ExplicitGraphOracle(complete_graph(3)))
+    assert result.witness == (0, 1, 2)
+    assert result.to_dict()["witness"] == [0, 1, 2]
 
 
 def test_clique_result_serialization():
