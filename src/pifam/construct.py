@@ -11,8 +11,12 @@ Two pipelines produce pairwise-independent witness families:
   {1..n}, showing g(n) >= v+1.  Projective planes of prime order q are
   built from the geometry of F_q^3 and feed this pipeline.
 
-Every Hadamard constructor re-checks H H^T = nI in exact integers before
-returning; design constructors re-check the design axioms.
+Every HadamardMatrix is checked for H H^T = nI on construction, by a
+popcount per row pair: with P and Q the bitmasks of the +1 columns of two
++-1 rows x and y, <x, y> = (n - |P xor Q|) - |P xor Q| = n - 2|P xor Q|,
+since the rows agree on n - |P xor Q| columns and differ on the rest.
+Design constructors re-check the design axioms, counting the blocks on a
+pair of points as the popcount of the AND of the two points' block masks.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ from .setsys import (
 )
 
 MAX_ORDER = 64  # largest Hadamard order any generator emits
+# Largest block list a design file may hold.  check_design costs
+# O(sum |B| + v^2 b / 64) word operations; at v = 63 a list of 2^16 full
+# blocks takes about 1.3 s to check (Python 3.11.7), and no accepted file
+# takes longer.  The package's own designs have b <= 63.
+MAX_BLOCKS = 1 << 16
 
 
 def _is_prime(m: int) -> bool:
@@ -60,17 +69,25 @@ class HadamardMatrix:
         n = len(self.rows)
         if n == 0:
             raise ParameterError("a Hadamard matrix has at least one row")
+        plus = []  # plus[i]: bitmask of the columns where row i is +1
         for row in self.rows:
             if len(row) != n:
                 raise ParameterError(f"matrix is not square: {n} rows, a row of {len(row)}")
-            for x in row:
+            mask = 0
+            for c, x in enumerate(row):
                 if x not in (1, -1):
                     raise ParameterError(f"entry {x!r} is not +1 or -1")
+                if x == 1:
+                    mask |= 1 << c
+            plus.append(mask)
+        # <x, y> = n - 2|P xor Q| (see the module docstring); the diagonal
+        # <x, x> = n holds once the entries are +-1
         for i in range(n):
-            for j in range(i, n):
-                dot = sum(self.rows[i][c] * self.rows[j][c] for c in range(n))
-                want = n if i == j else 0
-                if dot != want:
+            p = plus[i]
+            for j in range(i + 1, n):
+                if 2 * (p ^ plus[j]).bit_count() != n:
+                    # the entries' own product, so 1.0 entries from JSON print as floats
+                    dot = sum(a * b for a, b in zip(self.rows[i], self.rows[j]))
                     raise ParameterError(
                         f"rows {i + 1} and {j + 1} have inner product {dot}; "
                         f"H H^T = {n}I fails"
@@ -258,6 +275,8 @@ def design_from_dict(data: Any) -> Design:
         raise CapacityError(f"design has v={v} points, above the {MAX_POINTS}-point limit")
     if not isinstance(raw, list):
         raise ParameterError('design JSON field "blocks" must be a list of point lists')
+    if len(raw) > MAX_BLOCKS:
+        raise CapacityError(f"design has {len(raw)} blocks, above the {MAX_BLOCKS}-block limit")
     blocks = []
     for item in raw:
         if not isinstance(item, list):
@@ -290,10 +309,20 @@ def check_design(design: Design) -> DesignCheck:
             sizes_ok = False
             first = f"block {idx + 1} has size {got}, expected k={design.k}"
             break
+    # cols[p]: bitmask of the blocks containing point p; the blocks that
+    # contain both p and q are exactly cols[p] & cols[q].  The masks are
+    # filled as bytearrays: OR-ing a bit into an int copies the whole int.
+    cols = [bytearray((design.b + 7) // 8) for _ in range(design.v)]
+    for j, blk in enumerate(design.blocks):
+        byte, bit = j >> 3, 1 << (j & 7)
+        while blk:
+            low = blk & -blk
+            cols[low.bit_length() - 1][byte] |= bit
+            blk ^= low
+    cols = [int.from_bytes(col, "little") for col in cols]
     pairs_ok = True
     for p, q in itertools.combinations(range(design.v), 2):
-        need = (1 << p) | (1 << q)
-        cover = sum(1 for blk in design.blocks if blk & need == need)
+        cover = (cols[p] & cols[q]).bit_count()
         if cover != design.lam:
             pairs_ok = False
             if first is None:

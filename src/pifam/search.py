@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 from .construct import _is_prime, hadamard_family, hadamard_matrix, projective_plane
 from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
-from .setsys import CapacityError, CertificateError, ParameterError, SampleSpace
+from .setsys import CapacityError, CertificateError, Family, ParameterError, SampleSpace
 
 SEARCH_MAX_N = 16     # exhaustive g/f search capacity
 
@@ -177,6 +177,16 @@ def _try_hadamard_family(n: int):
     return hadamard_family(h)
 
 
+def _met_by_construction(family: Family) -> CliqueResult:
+    """g(n) = n from a Hadamard witness family, which meets the bound g(n) <= n."""
+    n = family.space.n
+    oracle = PowerSetGraphOracle(family.space)
+    result = max_clique(oracle, upper_bound=n, seed_clique=family.masks())
+    if result.size != n:
+        raise CertificateError(f"Hadamard witness has {result.size} events, not n={n}")
+    return replace(result, method="construction-plus-bound")
+
+
 def g_exact(n: int, method: str = "auto") -> CliqueResult:
     """Maximum size of a pairwise-independent family of nonempty events
     on {1..n}, with witness.
@@ -197,11 +207,7 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
                 f"no Hadamard generator covers n={n} (needs 4 | n and a Sylvester or "
                 f"Paley order); use method='search' for n <= {SEARCH_MAX_N}"
             )
-        oracle = PowerSetGraphOracle(space)
-        result = max_clique(oracle, upper_bound=n, seed_clique=family.masks())
-        if result.size != n:
-            raise CertificateError(f"Hadamard witness has {result.size} events, not n={n}")
-        return replace(result, method="construction-plus-bound")
+        return _met_by_construction(family)
     if n > SEARCH_MAX_N:
         raise CapacityError(
             f"methods tried for n={n}: construction (no generator covers it), "
@@ -296,8 +302,9 @@ def conjecture_sweep(n_max: int) -> list[SweepRow]:
         raise ParameterError(f"the sweep is capped at n_max <= 64, got {n_max}")
     rows = []
     for n in range(4, n_max + 1, 4):
-        if n <= 63 and _try_hadamard_family(n) is not None:
-            result = g_exact(n, "construct")
+        family = _try_hadamard_family(n)
+        if family is not None:
+            result = _met_by_construction(family)
         elif n <= SEARCH_MAX_N:
             result = g_exact(n, "search")
         else:

@@ -1,8 +1,10 @@
 """Independent reference computations the test suite checks the package against.
 
 Nothing here shares code with the package internals: rank goes through
-rational Gaussian elimination, clique numbers through networkx, and the
-independence relation is restated from scratch.
+rational Gaussian elimination, clique numbers through networkx, the
+independence relation is restated from scratch, and the H H^T = nI and
+design-axiom checks are the plain loops over row pairs, point pairs and
+blocks.
 """
 
 from __future__ import annotations
@@ -85,3 +87,51 @@ def brute_max_clique(matrix) -> int:
             graph.add_edge(i, j)
     _, size = nx.max_weight_clique(graph, weight=None)
     return size
+
+
+def hadamard_gram_violation(rows) -> str | None:
+    """The H H^T = nI test as a plain cubic loop over row pairs, diagonal
+    included: the message for the first failing (i, j), or None."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(i, n):
+            dot = sum(rows[i][c] * rows[j][c] for c in range(n))
+            if dot != (n if i == j else 0):
+                return (f"rows {i + 1} and {j + 1} have inner product {dot}; "
+                        f"H H^T = {n}I fails")
+    return None
+
+
+def design_check_fields(v: int, k: int, lam: int, blocks) -> tuple:
+    """The design axioms checked block by block and pair by pair, as the
+    tuple (ok, symmetric, block_sizes_ok, pair_coverage_ok,
+    intersections_ok, first_violation)."""
+    first = None
+    sizes_ok = True
+    for idx, blk in enumerate(blocks):
+        if blk.bit_count() != k:
+            sizes_ok = False
+            first = f"block {idx + 1} has size {blk.bit_count()}, expected k={k}"
+            break
+    pairs_ok = True
+    for p, q in itertools.combinations(range(v), 2):
+        need = (1 << p) | (1 << q)
+        cover = sum(1 for blk in blocks if blk & need == need)
+        if cover != lam:
+            pairs_ok = False
+            if first is None:
+                first = f"pair {{{p + 1},{q + 1}}} lies in {cover} blocks, expected lambda={lam}"
+            break
+    symmetric = len(blocks) == v
+    inter_ok = None
+    if symmetric:
+        inter_ok = True
+        for (i, bi), (j, bj) in itertools.combinations(enumerate(blocks), 2):
+            if (bi & bj).bit_count() != lam:
+                inter_ok = False
+                if first is None:
+                    first = (f"blocks {i + 1} and {j + 1} meet in {(bi & bj).bit_count()} "
+                             f"points, expected lambda={lam}")
+                break
+    ok = sizes_ok and pairs_ok and inter_ok is not False
+    return ok, symmetric, sizes_ok, pairs_ok, inter_ok, first

@@ -5,6 +5,7 @@ import json
 import pifam.cli
 from pifam import CertificateError
 from pifam.cli import main
+from pifam.construct import MAX_BLOCKS
 
 
 def run(capsys, *argv):
@@ -291,3 +292,18 @@ def test_oversized_design_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "design", "check", str(design_file))
     assert code == 2
     assert "v=64" in err
+
+
+def test_oversized_block_list_exits_two(tmp_path, capsys):
+    # refused by count before any block is parsed; at the limit the blocks
+    # are parsed and the bad point 0 is an input error (exit 1)
+    design_file = tmp_path / "many.json"
+    design_file.write_text(json.dumps(
+        {"v": 7, "k": 3, "lambda": 1, "blocks": [[0]] * (MAX_BLOCKS + 1)}))
+    code, _, err = run(capsys, "design", "check", str(design_file))
+    assert code == 2
+    assert f"{MAX_BLOCKS + 1} blocks" in err
+    design_file.write_text(json.dumps(
+        {"v": 7, "k": 3, "lambda": 1, "blocks": [[0]] * MAX_BLOCKS}))
+    code, _, err = run(capsys, "design", "check", str(design_file))
+    assert code == 1

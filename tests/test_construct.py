@@ -4,9 +4,12 @@ import itertools
 
 import pytest
 
+import pifam.construct
 from pifam import (
     CapacityError,
+    CertificateError,
     Design,
+    DesignCheck,
     HadamardMatrix,
     ParameterError,
     check_design,
@@ -280,3 +283,18 @@ def test_design_json_round_trip():
 def test_design_from_dict_rejects_malformed(data):
     with pytest.raises(ParameterError):
         design_from_dict(data)
+
+
+def test_failed_certificates_raise(monkeypatch):
+    # explicit raises, not asserts, so they hold under python -O as well
+    monkeypatch.setattr(pifam.construct, "is_valid_g_family", lambda family: False)
+    with pytest.raises(CertificateError, match="independence check"):
+        hadamard_family(hadamard_matrix(8))
+    with pytest.raises(CertificateError, match="independence check"):
+        dualize_design(fano())
+    failed = DesignCheck(False, True, True, False, True, "forced")
+    monkeypatch.setattr(pifam.construct, "check_design", lambda design: failed)
+    with pytest.raises(CertificateError, match="axioms"):
+        hadamard_to_design(hadamard_matrix(8))
+    with pytest.raises(CertificateError, match="axioms"):
+        projective_plane(2)

@@ -1,6 +1,8 @@
 """Property tests: the Gram certificate, the g-family predicate, `family
 verify` and family JSON agree with each other and with the oracles on
-random families (n <= 12, t <= 8).
+random families (n <= 12, t <= 8); the bit-parallel H H^T = nI and
+design-axiom checks agree with the plain loops in the oracles on random
+and perturbed matrices and designs.
 
 Examples are derandomized and no example database is kept, so a run is
 deterministic and writes nothing.
@@ -11,24 +13,39 @@ import io
 import itertools
 import json
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pifam import (
+    Design,
     Family,
+    HadamardMatrix,
+    ParameterError,
+    check_design,
     family_from_dict,
     family_to_dict,
     gram_certify,
     hadamard_family,
     hadamard_matrix,
+    hadamard_to_design,
     is_valid_g_family,
+    paley_orders,
+    projective_plane,
+    sylvester_orders,
     violations,
 )
 from pifam.cli import main
 
-from oracles import fraction_rank, independent_masks
+from oracles import (
+    design_check_fields,
+    fraction_rank,
+    hadamard_gram_violation,
+    independent_masks,
+)
 
 # no deadline: a CLI example writes a file, and its time depends on the host
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -105,3 +122,71 @@ def test_family_json_round_trip(family):
     data = family_to_dict(family)
     assert family_to_dict(family_from_dict(data)) == data
     assert family_from_dict(json.loads(json.dumps(data))) == family
+
+
+HADAMARD_ORDERS = sorted(n for n in set(sylvester_orders(60)) | set(paley_orders(60)) if n >= 4)
+
+
+@st.composite
+def sign_matrices(draw):
+    """Random square +-1 matrices of order <= 8, or a Hadamard matrix of
+    order 4..60 with its rows shuffled and, mostly, one entry negated."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        row = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+    rows = [list(r) for r in hadamard_matrix(draw(st.sampled_from(HADAMARD_ORDERS))).rows]
+    rows = draw(st.permutations(rows))
+    if draw(st.integers(0, 3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, len(rows) - 1))
+        rows[i][c] = -rows[i][c]
+    return rows
+
+
+@PROPERTY
+@given(sign_matrices())
+def test_hadamard_check_matches_the_cubic_loop(rows):
+    want = hadamard_gram_violation(rows)
+    if want is None:
+        assert HadamardMatrix(rows).rows == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(ParameterError) as err:
+            HadamardMatrix(rows)
+        assert str(err.value) == want
+
+
+BASE_DESIGNS = [projective_plane(q) for q in (2, 3, 5)] + [
+    hadamard_to_design(hadamard_matrix(n)) for n in HADAMARD_ORDERS]
+
+
+@st.composite
+def designs(draw):
+    """Random blocks on v <= 9 points (b = v about a third of the time), or
+    a plane or Hadamard design, mostly with one point of one block toggled
+    or moved, or one block replaced by another."""
+    if draw(st.booleans()):
+        v = draw(st.integers(1, 9))
+        b = v if draw(st.integers(0, 2)) == 0 else draw(st.integers(0, 12))
+        blocks = draw(st.lists(st.integers(0, (1 << v) - 1), min_size=b, max_size=b))
+        return Design(v, draw(st.integers(0, v)), draw(st.integers(0, 3)), tuple(blocks))
+    d = draw(st.sampled_from(BASE_DESIGNS))
+    blocks = list(d.blocks)
+    j = draw(st.integers(0, len(blocks) - 1))
+    change = draw(st.sampled_from(["none", "toggle", "move", "replace"]))
+    if change == "toggle":
+        blocks[j] ^= 1 << draw(st.integers(0, d.v - 1))
+    elif change == "move":  # one point of block j moves elsewhere; sizes stay k
+        inside = [p for p in range(d.v) if blocks[j] >> p & 1]
+        outside = [p for p in range(d.v) if not blocks[j] >> p & 1]
+        blocks[j] ^= 1 << draw(st.sampled_from(inside)) | 1 << draw(st.sampled_from(outside))
+    elif change == "replace":
+        blocks[j] = blocks[draw(st.integers(0, len(blocks) - 1))]
+    return Design(d.v, d.k, d.lam, tuple(blocks))
+
+
+@PROPERTY
+@given(designs())
+def test_design_check_matches_the_pairwise_loop(design):
+    want = design_check_fields(design.v, design.k, design.lam, design.blocks)
+    assert astuple(check_design(design)) == want

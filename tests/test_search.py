@@ -351,6 +351,19 @@ def test_conjecture_sweep_honest_open_entries():
     assert holds == [4, 8, 12, 16, 20, 24, 32, 44, 48, 60]
 
 
+def test_conjecture_sweep_builds_each_witness_once(monkeypatch):
+    built = []
+
+    def counted(h):
+        built.append(h.order)
+        return pifam.hadamard_family(h)
+
+    monkeypatch.setattr(pifam.search, "hadamard_family", counted)
+    rows = conjecture_sweep(64)
+    assert built == [4, 8, 12, 16, 20, 24, 32, 44, 48, 60]
+    assert [row.n for row in rows if row.verdict == "HOLDS"] == built
+
+
 def test_conjecture_sweep_validation():
     with pytest.raises(ParameterError):
         conjecture_sweep(0)
