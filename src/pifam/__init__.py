@@ -32,7 +32,7 @@ from .construct import (
     validate_design,
 )
 from .exactlin import GramReport, gram_certify, rank
-from .graphs import ExplicitGraphOracle, JohnsonGraphOracle, PowerSetGraphOracle
+from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
 from .search import (
     CliqueResult,
     SweepRow,
@@ -71,7 +71,6 @@ __all__ = [
     "Design",
     "DesignCheck",
     "Event",
-    "ExplicitGraphOracle",
     "Family",
     "GramReport",
     "HadamardMatrix",

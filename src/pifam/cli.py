@@ -183,7 +183,6 @@ def _cmd_gmax(args: argparse.Namespace) -> int:
 
 def _cmd_hadamard(args: argparse.Namespace) -> int:
     h = hadamard_matrix(args.order, args.method)
-    HadamardMatrix(h.rows)  # re-verify orthogonality before writing
     if args.format == "json":
         _emit(json.dumps(hadamard_to_json(h)), args.out)
     else:

@@ -75,19 +75,17 @@ class HadamardMatrix:
                 raise ParameterError(f"matrix is not square: {n} rows, a row of {len(row)}")
             mask = 0
             for c, x in enumerate(row):
-                if x not in (1, -1):
+                if type(x) is not int or x not in (1, -1):  # not bool, not float
                     raise ParameterError(f"entry {x!r} is not +1 or -1")
                 if x == 1:
                     mask |= 1 << c
             plus.append(mask)
         # <x, y> = n - 2|P xor Q| (see the module docstring); the diagonal
         # <x, x> = n holds once the entries are +-1
-        for i in range(n):
-            p = plus[i]
+        for i, p in enumerate(plus):
             for j in range(i + 1, n):
-                if 2 * (p ^ plus[j]).bit_count() != n:
-                    # the entries' own product, so 1.0 entries from JSON print as floats
-                    dot = sum(a * b for a, b in zip(self.rows[i], self.rows[j]))
+                dot = n - 2 * (p ^ plus[j]).bit_count()
+                if dot:
                     raise ParameterError(
                         f"rows {i + 1} and {j + 1} have inner product {dot}; "
                         f"H H^T = {n}I fails"

@@ -1,8 +1,8 @@
 """Graph oracles for the clique searches, and their candidate graphs.
 
-An oracle defines a graph -- its vertices, adjacency and how a vertex is
-written out -- and names its roots: forced clique prefixes, one per orbit
-of a symmetry group of the graph, such that some maximum clique is the
+An oracle defines a graph on events, stored as point bitmasks, and its
+adjacency, and names its roots: forced clique prefixes, one per orbit of
+a symmetry group of the graph, such that some maximum clique is the
 image of a clique through some root.  The proofs are in the docstrings of
 the oracles' `roots`.  `build_graph(root)` builds only that root's
 candidate graph: vertices adjacent to the whole prefix, generated
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .setsys import CapacityError, ParameterError, SampleSpace, mask_to_points
+from .setsys import CapacityError, ParameterError, SampleSpace
 
 MAX_VERTICES = 1 << 20
 
@@ -30,13 +30,12 @@ class _BuiltGraph:
 
 
 def _ordered(
-    prefix: tuple[int, ...], cand: list[int], rows: Callable[[list[int]], list[int]]
+    prefix: tuple[int, ...], cand: list[int], meet: Callable[[int, int], int | None]
 ) -> _BuiltGraph:
-    """The graph on `cand` in reverse degeneracy order; rows(c) gives the
-    adjacency bitsets of the vertex list c, in c's own indices."""
-    perm = _degeneracy_permutation(rows(cand))
+    """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order."""
+    perm = _degeneracy_permutation(_intersection_graph(cand, meet))
     cand = [cand[i] for i in perm]
-    return _BuiltGraph(prefix, cand, rows(cand))
+    return _BuiltGraph(prefix, cand, _intersection_graph(cand, meet))
 
 
 def _degeneracy_permutation(adj: list[int]) -> list[int]:
@@ -137,9 +136,6 @@ class PowerSetGraphOracle:
 
     space: SampleSpace
 
-    def vertex_count(self) -> int:
-        return (1 << self.space.n) - 1
-
     def contains_vertex(self, mask: int) -> bool:
         return 1 <= mask <= self.space.full_mask
 
@@ -147,9 +143,6 @@ class PowerSetGraphOracle:
         if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
             return False
         return self.space.n * (a & b).bit_count() == a.bit_count() * b.bit_count()
-
-    def vertex_to_json(self, mask: int) -> list[int]:
-        return list(mask_to_points(mask))
 
     def _meet(self, a: int, b: int) -> int | None:
         """The intersection size that makes events of sizes a and b independent."""
@@ -200,7 +193,7 @@ class PowerSetGraphOracle:
                 w = self._meet(v.bit_count(), b)
                 if w is not None:
                     cand += [top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w)]
-        return _ordered(prefix, cand, lambda c: _intersection_graph(c, self._meet))
+        return _ordered(prefix, cand, self._meet)
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,6 @@ class JohnsonGraphOracle:
                 f"the {MAX_VERTICES} limit"
             )
 
-    def vertex_count(self) -> int:
-        return math.comb(self.n, self.r)
-
     def contains_vertex(self, mask: int) -> bool:
         return 0 < mask < 1 << self.n and mask.bit_count() == self.r
 
@@ -230,9 +220,6 @@ class JohnsonGraphOracle:
         if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
             return False
         return (a & b).bit_count() == self.s
-
-    def vertex_to_json(self, mask: int) -> list[int]:
-        return list(mask_to_points(mask))
 
     def roots(self) -> list[tuple[int, ...]]:
         """The single root v0 = {1..r}.
@@ -253,47 +240,5 @@ class JohnsonGraphOracle:
             cand = list(_choose(v, self.s, full ^ v, self.r - self.s))
         else:
             cand = list(_choose(0, 0, full, self.r))
-        return _ordered(prefix, cand, lambda c: _intersection_graph(c, lambda a, b: self.s))
+        return _ordered(prefix, cand, lambda a, b: self.s)
 
-
-@dataclass(frozen=True)
-class ExplicitGraphOracle:
-    """Graph given by a symmetric 0/1 adjacency matrix; vertices are indices."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
-        m = len(self.matrix)
-        for i, row in enumerate(self.matrix):
-            if len(row) != m:
-                raise ParameterError("adjacency matrix must be square")
-            if row[i]:
-                raise ParameterError("adjacency matrix must have a zero diagonal")
-            for j in range(m):
-                if bool(row[j]) != bool(self.matrix[j][i]):
-                    raise ParameterError("adjacency matrix must be symmetric")
-
-    def vertex_count(self) -> int:
-        return len(self.matrix)
-
-    def contains_vertex(self, v: int) -> bool:
-        return 0 <= v < len(self.matrix)
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return self.contains_vertex(a) and self.contains_vertex(b) and bool(self.matrix[a][b])
-
-    def vertex_to_json(self, v: int) -> int:
-        return v
-
-    def roots(self) -> list[tuple[int, ...]]:
-        """The empty prefix: no symmetry is assumed, the whole graph is searched."""
-        return [()]
-
-    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
-        """The whole graph; the empty prefix is the only root."""
-
-        def rows(c: list[int]) -> list[int]:
-            return [sum(1 << k for k, u in enumerate(c) if self.matrix[v][u]) for v in c]
-
-        return _ordered((), list(range(len(self.matrix))), rows)

@@ -14,12 +14,19 @@ proven upper bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from .construct import _is_prime, hadamard_family, hadamard_matrix, projective_plane
 from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
-from .setsys import CapacityError, CertificateError, Family, ParameterError, SampleSpace
+from .setsys import (
+    CapacityError,
+    CertificateError,
+    Family,
+    ParameterError,
+    SampleSpace,
+    mask_to_points,
+)
 
 SEARCH_MAX_N = 16     # exhaustive g/f search capacity
 
@@ -29,17 +36,16 @@ class CliqueResult:
     """A clique plus the evidence trail of the search that produced it."""
 
     size: int
-    witness: tuple[int, ...]   # vertices as the oracle defines them
+    witness: tuple[int, ...]   # events as point bitmasks
     optimal: bool
     nodes_explored: int
     method: str
-    oracle: Any = field(repr=False, compare=False)  # serializes the witness vertices
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "size": self.size,
             "optimal": self.optimal,
-            "witness": [self.oracle.vertex_to_json(v) for v in self.witness],
+            "witness": [list(mask_to_points(v)) for v in self.witness],
             "nodes_explored": self.nodes_explored,
             "method": self.method,
         }
@@ -163,7 +169,7 @@ def _verified(
     for a, b in itertools.combinations(witness, 2):
         if not oracle.adjacent(a, b):
             raise CertificateError(f"witness fails adjacency: {a} vs {b}")
-    return CliqueResult(len(witness), tuple(witness), optimal, nodes, method, oracle)
+    return CliqueResult(len(witness), tuple(witness), optimal, nodes, method)
 
 
 def _try_hadamard_family(n: int):
@@ -180,11 +186,10 @@ def _try_hadamard_family(n: int):
 def _met_by_construction(family: Family) -> CliqueResult:
     """g(n) = n from a Hadamard witness family, which meets the bound g(n) <= n."""
     n = family.space.n
+    if len(family) != n:
+        raise CertificateError(f"Hadamard witness has {len(family)} events, not n={n}")
     oracle = PowerSetGraphOracle(family.space)
-    result = max_clique(oracle, upper_bound=n, seed_clique=family.masks())
-    if result.size != n:
-        raise CertificateError(f"Hadamard witness has {result.size} events, not n={n}")
-    return replace(result, method="construction-plus-bound")
+    return _verified(oracle, list(family.masks()), True, 0, "construction-plus-bound")
 
 
 def g_exact(n: int, method: str = "auto") -> CliqueResult:

@@ -6,6 +6,7 @@ import pifam.cli
 from pifam import CertificateError
 from pifam.cli import main
 from pifam.construct import MAX_BLOCKS
+from pifam.setsys import MAX_EVENTS
 
 
 def run(capsys, *argv):
@@ -286,6 +287,19 @@ def test_oversized_matrix_file_exits_two(tmp_path, capsys):
         assert "64 rows" in err
 
 
+def test_non_integer_matrix_entries_exit_one(tmp_path, capsys):
+    # JSON 1.0 and true compare equal to 1 but are not +1/-1 integers
+    sylvester4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    floats = tmp_path / "h4.json"
+    floats.write_text(json.dumps([[float(x) for x in row] for row in sylvester4]))
+    boolean = tmp_path / "h1.json"
+    boolean.write_text("[[true]]")
+    for path, entry in ((floats, "1.0"), (boolean, "True")):
+        code, out, err = run(capsys, "design", "from-hadamard", "--matrix", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: entry {entry} is not +1 or -1\n"
+
+
 def test_oversized_design_file_exits_two(tmp_path, capsys):
     design_file = tmp_path / "d64.json"
     design_file.write_text(json.dumps({"v": 64, "k": 2, "lambda": 1, "blocks": [[1, 64]]}))
@@ -306,4 +320,17 @@ def test_oversized_block_list_exits_two(tmp_path, capsys):
     design_file.write_text(json.dumps(
         {"v": 7, "k": 3, "lambda": 1, "blocks": [[0]] * MAX_BLOCKS}))
     code, _, err = run(capsys, "design", "check", str(design_file))
+    assert code == 1
+
+
+def test_oversized_event_list_exits_two(tmp_path, capsys):
+    # refused by count before any event is parsed; at the limit the events
+    # are parsed and the bad point 0 is an input error (exit 1)
+    family_file = tmp_path / "many.json"
+    family_file.write_text(json.dumps({"n": 7, "events": [[0]] * (MAX_EVENTS + 1)}))
+    code, _, err = run(capsys, "family", "verify", str(family_file))
+    assert code == 2
+    assert f"{MAX_EVENTS + 1} events" in err
+    family_file.write_text(json.dumps({"n": 7, "events": [[0]] * MAX_EVENTS}))
+    code, _, err = run(capsys, "family", "verify", str(family_file))
     assert code == 1

@@ -1,5 +1,6 @@
 """Branch-and-bound clique search, g/f computation, and the sweep."""
 
+import ast
 import itertools
 import math
 import os
@@ -13,7 +14,6 @@ import pytest
 import pifam
 from pifam import (
     CapacityError,
-    ExplicitGraphOracle,
     Family,
     JohnsonGraphOracle,
     ParameterError,
@@ -42,10 +42,21 @@ def complete_graph(m):
     return tuple(tuple(int(i != j) for j in range(m)) for i in range(m))
 
 
+def clique_of(mat):
+    """Size of the branch-and-bound kernel's clique on the bitset rows of a
+    0/1 matrix, after checking that the returned bitset is a clique of that size."""
+    adj = [sum(1 << j for j, x in enumerate(row) if x) for row in mat]
+    size, bits, _ = pifam.search._branch_and_bound(adj, 0, None)
+    members = [v for v in range(len(adj)) if bits >> v & 1]
+    assert len(members) == size
+    for a, b in itertools.combinations(members, 2):
+        assert mat[a][b]
+    return size
+
+
 def test_max_clique_on_plain_graphs():
-    edgeless = ExplicitGraphOracle(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
-    assert max_clique(edgeless).size == 1
-    assert max_clique(ExplicitGraphOracle(complete_graph(5))).size == 5
+    assert clique_of(((0, 0, 0), (0, 0, 0), (0, 0, 0))) == 1
+    assert clique_of(complete_graph(5)) == 5
 
 
 def test_max_clique_fuzz_against_networkx():
@@ -56,11 +67,7 @@ def test_max_clique_fuzz_against_networkx():
         for i, j in itertools.combinations(range(m), 2):
             if rng.random() < rng.choice((0.2, 0.5, 0.8)):
                 mat[i][j] = mat[j][i] = 1
-        oracle = ExplicitGraphOracle(tuple(map(tuple, mat)))
-        result = max_clique(oracle)
-        assert result.size == brute_max_clique(mat)
-        for a, b in itertools.combinations(result.witness, 2):
-            assert oracle.adjacent(a, b)
+        assert clique_of(mat) == brute_max_clique(mat)
 
 
 def test_witness_check_survives_optimized_mode():
@@ -68,15 +75,14 @@ def test_witness_check_survives_optimized_mode():
     # must still catch an oracle whose adjacent() contradicts its own graph
     code = """
 import sys
-from pifam import CertificateError, ExplicitGraphOracle, max_clique
+from pifam import CertificateError, PowerSetGraphOracle, SampleSpace, max_clique
 
-class Liar(ExplicitGraphOracle):
+class Liar(PowerSetGraphOracle):
     def adjacent(self, a, b):
         return False
 
-triangle = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 try:
-    max_clique(Liar(triangle))
+    max_clique(Liar(SampleSpace(4)))
 except CertificateError as exc:
     print(sys.flags.optimize, "CertificateError:", exc)
 """
@@ -85,6 +91,15 @@ except CertificateError as exc:
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 CertificateError: witness fails adjacency")
+
+
+def test_no_assert_in_package_source():
+    # every certificate check is an explicit raise, which python -O keeps
+    src = Path(pifam.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name} has assert statements at lines {asserts}"
 
 
 def test_max_clique_seed_and_bound():
@@ -108,7 +123,6 @@ def test_max_clique_rejects_bad_seeds():
 
 def test_power_set_oracle_contract():
     oracle = PowerSetGraphOracle(SampleSpace(4))
-    assert oracle.vertex_count() == 15
     for a in range(1, 16):
         assert not oracle.adjacent(a, a)
         for b in range(1, 16):
@@ -318,12 +332,6 @@ def test_search_is_deterministic():
     assert x == y
 
 
-def test_explicit_witness_serializes_as_indices():
-    result = max_clique(ExplicitGraphOracle(complete_graph(3)))
-    assert result.witness == (0, 1, 2)
-    assert result.to_dict()["witness"] == [0, 1, 2]
-
-
 def test_clique_result_serialization():
     result = g_exact(4)
     data = result.to_dict()
@@ -362,6 +370,20 @@ def test_conjecture_sweep_builds_each_witness_once(monkeypatch):
     rows = conjecture_sweep(64)
     assert built == [4, 8, 12, 16, 20, 24, 32, 44, 48, 60]
     assert [row.n for row in rows if row.verdict == "HOLDS"] == built
+
+
+def test_construction_witness_pairs_are_checked_once(monkeypatch):
+    calls = []
+    adjacent = PowerSetGraphOracle.adjacent
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return adjacent(self, a, b)
+
+    monkeypatch.setattr(PowerSetGraphOracle, "adjacent", counted)
+    result = g_exact(12, "construct")
+    assert result.size == 12 and result.method == "construction-plus-bound"
+    assert len(calls) == math.comb(12, 2) == 66
 
 
 def test_conjecture_sweep_validation():
