@@ -128,7 +128,8 @@ def max_clique(
     method is "bound-met-by-seed" when the seed alone reaches the bound,
     "bound-met-by-search" when the search does, else "branch-and-bound".
     The returned witness is re-verified through the oracle before
-    returning, independently of the search internals.
+    returning, independently of the search internals; a seed witness was
+    already checked pair by pair on the way in.
     """
     seed = tuple(seed_clique) if seed_clique else ()
     if len(set(seed)) != len(seed):
@@ -143,10 +144,16 @@ def max_clique(
     def met(size: int) -> bool:
         return upper_bound is not None and size >= upper_bound
 
-    best: list[int] = list(seed)
-    if met(len(best)):
-        return _verified(oracle, best, True, 0, "bound-met-by-seed")
+    best = seeded = list(seed)
     nodes = 0
+
+    def finish(method: str) -> CliqueResult:
+        if best is seeded:  # its pairs were checked above
+            return CliqueResult(len(best), tuple(best), True, nodes, method)
+        return _verified(oracle, best, True, nodes, method)
+
+    if met(len(best)):
+        return finish("bound-met-by-seed")
     for root in oracle.roots():
         graph = oracle.build_graph(root)
         base = list(graph.prefix)
@@ -159,8 +166,8 @@ def max_clique(
             if len(base) + size > len(best):
                 best = base + sorted(v for i, v in enumerate(graph.cand) if bits >> i & 1)
         if met(len(best)):
-            return _verified(oracle, best, True, nodes, "bound-met-by-search")
-    return _verified(oracle, best, True, nodes, "branch-and-bound")
+            return finish("bound-met-by-search")
+    return finish("branch-and-bound")
 
 
 def _verified(

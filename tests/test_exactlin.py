@@ -9,11 +9,17 @@ from pifam import (
     Family,
     ParameterError,
     SampleSpace,
+    dualize_design,
+    exactlin,
     gram_certify,
     hadamard_family,
+    hadamard_matrix,
     is_pairwise_independent,
+    paley_orders,
+    projective_plane,
     rank,
     sylvester,
+    sylvester_orders,
 )
 
 from oracles import fraction_rank
@@ -47,6 +53,13 @@ def test_rank_examples():
 def test_rank_rejects_ragged_input():
     with pytest.raises(ParameterError):
         rank([[1, 2], [3]])
+
+
+def test_rank_rejects_non_integer_entries():
+    # int() would truncate 0.5 to 0 and report rank 0; over Q the rank is 1
+    for bad in ([[0.5]], [[1, 0], [0, 1.0]], [[True]], [["1"]]):
+        with pytest.raises(ParameterError):
+            rank(bad)
 
 
 def test_rank_matches_rational_elimination():
@@ -149,3 +162,40 @@ def test_gram_full_rank_with_omega_present():
             rep = gram_certify(fam)
             assert rep.gram_ok and rep.full_column_rank and rep.rank == 3
             break  # one instance per n keeps this cheap
+
+
+def counted_rank(monkeypatch):
+    """Replace exactlin.rank, the Bareiss fallback, by a counting wrapper."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return rank(matrix)
+
+    monkeypatch.setattr(exactlin, "rank", counted)
+    return calls
+
+
+def test_gram_falls_back_to_bareiss_when_p_divides_a_minor(monkeypatch):
+    # det B = +-2 * 12^6 / 2^12 = +-2 * 3^6 for the order-12 witness, so
+    # over GF(3) its rank is short of 12 and only Bareiss can certify it
+    monkeypatch.setattr(exactlin, "_BITS", 2)
+    monkeypatch.setattr(exactlin, "_P", 3)
+    fam = hadamard_family(hadamard_matrix(12))
+    assert exactlin._rank_mod_p(fam.masks(), 12) < 12
+    calls = counted_rank(monkeypatch)
+    rep = gram_certify(fam)
+    assert rep.gram_ok and rep.full_column_rank and rep.rank == 12
+    assert calls == [12]
+
+
+def test_gram_rank_needs_no_bareiss_on_the_witness_families(monkeypatch):
+    calls = counted_rank(monkeypatch)
+    orders = sorted(n for n in set(sylvester_orders(60)) | set(paley_orders(60)) if n >= 4)
+    families = [hadamard_family(hadamard_matrix(n)) for n in orders]
+    families += [dualize_design(projective_plane(q)) for q in (2, 3, 5)]
+    for fam in families:
+        rep = gram_certify(fam)
+        assert rep.gram_ok and rep.full_column_rank and rep.rank == len(fam)
+    assert calls == []
+

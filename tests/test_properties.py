@@ -1,6 +1,7 @@
 """Property tests: the Gram certificate, the g-family predicate, `family
 verify` and family JSON agree with each other and with the oracles on
-random families (n <= 12, t <= 8); the bit-parallel H H^T = nI and
+random families (n <= 12, t <= 8, and n <= 6 with t up to 16 or with a
+forced rank deficiency); the bit-parallel H H^T = nI and
 design-axiom checks agree with the plain loops in the oracles on random
 and perturbed matrices and designs.
 
@@ -81,14 +82,32 @@ def pairwise_independent(family):
                for a, b in itertools.combinations(family.masks(), 2))
 
 
+@st.composite
+def wide_or_deficient_families(draw):
+    """Nonempty events on n <= 6 points, up to 16 of them so that t > n
+    occurs, and about half the time with A, B and A ∪ B for disjoint A, B,
+    which makes the rank deficient."""
+    n = draw(st.integers(1, 6))
+    top = (1 << n) - 1
+    masks = draw(st.lists(st.integers(1, top), min_size=1,
+                          max_size=min(16, top), unique=True))
+    if n >= 2 and draw(st.booleans()):
+        a = draw(st.integers(1, top - 1))
+        rest = top & ~a
+        b = draw(st.integers(1, top)) & rest or rest & -rest
+        masks = [a, b, a | b] + [m for m in masks if m not in (a, b, a | b)]
+    return Family.from_masks(n, masks)
+
+
 @PROPERTY
-@given(families())
+@given(families() | wide_or_deficient_families())
 def test_gram_ok_is_pairwise_independence_and_forces_full_rank(family):
     n, t = family.space.n, len(family)
     rep = gram_certify(family)
     assert rep.gram_ok == pairwise_independent(family)
     rows = [[m >> i & 1 for i in range(n)] for m in family.masks()]
     assert rep.rank == fraction_rank(rows)
+    assert rep.full_column_rank == (rep.rank == t)
     if rep.gram_ok:
         assert rep.rank == t <= n and rep.full_column_rank
 

@@ -386,6 +386,25 @@ def test_construction_witness_pairs_are_checked_once(monkeypatch):
     assert len(calls) == math.comb(12, 2) == 66
 
 
+def test_johnson_seed_pairs_are_checked_once(monkeypatch):
+    calls = []
+    adjacent = JohnsonGraphOracle.adjacent
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return adjacent(self, a, b)
+
+    monkeypatch.setattr(JohnsonGraphOracle, "adjacent", counted)
+    for (n, r, s), lines in {(16, 4, 1): 13, (9, 3, 1): 7}.items():
+        calls.clear()
+        result = johnson_omega(n, r, s)
+        assert result.size == lines and result.method == "deza-bound-met-by-seed"
+        assert len(calls) == math.comb(lines, 2)  # 78 and 21
+    oracle = JohnsonGraphOracle(9, 3, 1)
+    with pytest.raises(ParameterError):
+        max_clique(oracle, upper_bound=7, seed_clique=[0b111, 0b111000, 0b111000000])
+
+
 def test_conjecture_sweep_validation():
     with pytest.raises(ParameterError):
         conjecture_sweep(0)
