@@ -23,7 +23,6 @@ from .construct import (
     hadamard_to_design,
     hadamard_to_json,
     hadamard_to_text,
-    normalize,
     paley1,
     paley_orders,
     projective_plane,
@@ -104,7 +103,6 @@ __all__ = [
     "johnson_omega",
     "mask_to_points",
     "max_clique",
-    "normalize",
     "paley1",
     "paley_orders",
     "points_to_mask",

@@ -1,15 +1,16 @@
 """Explicit constructions: Hadamard matrices, block designs, and the
 families they induce.
 
-Two pipelines produce pairwise-independent witness families:
+Two routes produce pairwise-independent witness families:
 
-* Hadamard matrix of order n (4 | n)  ->  symmetric 2-(n-1, n/2-1, n/4-1)
-  design  ->  family of n events on {1..n} (each design block plus the
-  point n, topped off with the full space), showing g(n) = n.
+* Hadamard matrix of order n (4 | n)  ->  family of n events on {1..n}:
+  each block of the symmetric 2-(n-1, n/2-1, n/4-1) design plus the point
+  n, topped off with the full space, showing g(n) = n.  The design's blocks
+  are read straight off the +1 column masks (see `_normal_blocks`).
 * Any 2-(v,k,lambda) design whose replication number r = lambda(v-1)/(k-1)
   satisfies r^2 = lambda*n for an integer n dualizes to v+1 events on
   {1..n}, showing g(n) >= v+1.  Projective planes of prime order q are
-  built from the geometry of F_q^3 and feed this pipeline.
+  built from the geometry of F_q^3 and feed this route.
 
 Every HadamardMatrix is checked for H H^T = nI on construction, by a
 popcount per row pair: with P and Q the bitmasks of the +1 columns of two
@@ -22,7 +23,7 @@ pair of points as the popcount of the AND of the two points' block masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .setsys import (
@@ -58,18 +59,28 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _check_prime_below(q: Any, limit: int, capacity: str) -> None:
+    """Refuse q >= limit with `capacity` before the trial division of q."""
+    if not isinstance(q, int) or isinstance(q, bool) or (q < limit and not _is_prime(q)):
+        raise ParameterError(f"q={q!r} is not prime (prime powers are not supported)")
+    if q >= limit:
+        raise CapacityError(capacity)
+
+
 @dataclass(frozen=True)
 class HadamardMatrix:
     """Square +1/-1 matrix H with H H^T = nI, checked at construction."""
 
     rows: tuple[tuple[int, ...], ...]
+    # plus[i]: bitmask of the columns where row i is +1, bit c for column c
+    plus: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
         n = len(self.rows)
         if n == 0:
             raise ParameterError("a Hadamard matrix has at least one row")
-        plus = []  # plus[i]: bitmask of the columns where row i is +1
+        plus = []
         for row in self.rows:
             if len(row) != n:
                 raise ParameterError(f"matrix is not square: {n} rows, a row of {len(row)}")
@@ -90,6 +101,7 @@ class HadamardMatrix:
                         f"rows {i + 1} and {j + 1} have inner product {dot}; "
                         f"H H^T = {n}I fails"
                     )
+        object.__setattr__(self, "plus", tuple(plus))
 
     @property
     def order(self) -> int:
@@ -114,12 +126,9 @@ def paley1(q: int) -> HadamardMatrix:
     The quadratic-residue character on Z/q gives a skew conference
     matrix S (zero diagonal, all-ones border); H = I + S is Hadamard.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or not _is_prime(q):
-        raise ParameterError(f"q={q!r} is not prime (prime powers are not supported)")
+    _check_prime_below(q, MAX_ORDER, f"q={q!r} gives an order q+1 above the {MAX_ORDER} limit")
     if q % 4 != 3:
         raise ParameterError(f"q={q} is {q % 4} mod 4; the construction needs q = 3 mod 4")
-    if q + 1 > MAX_ORDER:
-        raise CapacityError(f"order q+1={q + 1} exceeds the {MAX_ORDER} limit")
     residues = {i * i % q for i in range(1, q)}
     size = q + 1
     rows = [[1] * size]
@@ -156,20 +165,6 @@ def hadamard_matrix(order: int, method: str = "auto") -> HadamardMatrix:
         f"no {'generator' if method == 'auto' else method + ' construction'} covers order "
         f"{order}; supported orders: {supported}"
     )
-
-
-def normalize(h: HadamardMatrix) -> HadamardMatrix:
-    """Equivalent matrix (row/column negations) with all-ones first row and column."""
-    rows = [list(row) for row in h.rows]
-    n = h.order
-    for j in range(n):
-        if rows[0][j] < 0:
-            for i in range(n):
-                rows[i][j] = -rows[i][j]
-    for i in range(n):
-        if rows[i][0] < 0:
-            rows[i] = [-x for x in rows[i]]
-    return HadamardMatrix(tuple(tuple(r) for r in rows))
 
 
 def hadamard_to_text(h: HadamardMatrix) -> str:
@@ -298,6 +293,19 @@ class DesignCheck:
     first_violation: str | None
 
 
+def _point_columns(design: Design) -> list[int]:
+    """cols[p]: bitmask of the blocks containing point p + 1, bit j for block j.
+    Filled as bytearrays: OR-ing a bit into an int copies the whole int."""
+    cols = [bytearray((design.b + 7) // 8) for _ in range(design.v)]
+    for j, blk in enumerate(design.blocks):
+        byte, bit = j >> 3, 1 << (j & 7)
+        while blk:
+            low = blk & -blk
+            cols[low.bit_length() - 1][byte] |= bit
+            blk ^= low
+    return [int.from_bytes(col, "little") for col in cols]
+
+
 def check_design(design: Design) -> DesignCheck:
     first: str | None = None
     sizes_ok = True
@@ -307,17 +315,8 @@ def check_design(design: Design) -> DesignCheck:
             sizes_ok = False
             first = f"block {idx + 1} has size {got}, expected k={design.k}"
             break
-    # cols[p]: bitmask of the blocks containing point p; the blocks that
-    # contain both p and q are exactly cols[p] & cols[q].  The masks are
-    # filled as bytearrays: OR-ing a bit into an int copies the whole int.
-    cols = [bytearray((design.b + 7) // 8) for _ in range(design.v)]
-    for j, blk in enumerate(design.blocks):
-        byte, bit = j >> 3, 1 << (j & 7)
-        while blk:
-            low = blk & -blk
-            cols[low.bit_length() - 1][byte] |= bit
-            blk ^= low
-    cols = [int.from_bytes(col, "little") for col in cols]
+    # the blocks that contain both p and q are exactly cols[p] & cols[q]
+    cols = _point_columns(design)
     pairs_ok = True
     for p, q in itertools.combinations(range(design.v), 2):
         cover = (cols[p] & cols[q]).bit_count()
@@ -353,23 +352,33 @@ def validate_design(design: Design) -> bool:
     return check_design(design).ok
 
 
-def hadamard_to_design(h: HadamardMatrix) -> Design:
-    """Symmetric 2-(n-1, n/2-1, n/4-1) design from a Hadamard matrix of order n.
+def _normal_blocks(h: HadamardMatrix) -> list[int]:
+    """Rows 2..n of the normalized h, as masks of their +1 columns among 2..n.
 
-    Normalize, delete the first row and column, and read each remaining
-    row's +1 positions as a block over the n-1 remaining columns.
+    Normalizing negates the columns where row 1 is -1, so that row 1 is
+    all +1, then every row whose first entry is -1.  After the column
+    negations row i is +1 exactly where it agrees with row 1, on the mask
+    E_i = full ^ P_i ^ P_1 (full = 2^n - 1, P_i = `h.plus[i-1]`); the row
+    negation keeps E_i when its bit 0 (column 1) is set and takes full ^ E_i
+    otherwise.  Column 1 is then +1 in every row, and dropping it shifts the
+    mask right by one.
     """
     n = h.order
     if n < 4 or n % 4 != 0:
         raise ParameterError(f"design extraction needs order >= 4 divisible by 4, got {n}")
-    norm = normalize(h)
+    full = (1 << n) - 1
     blocks = []
-    for i in range(1, n):
-        mask = 0
-        for j in range(1, n):
-            if norm.rows[i][j] > 0:
-                mask |= 1 << (j - 1)
-        blocks.append(mask)
+    for p in h.plus[1:]:
+        e = full ^ p ^ h.plus[0]
+        blocks.append((e if e & 1 else full ^ e) >> 1)
+    return blocks
+
+
+def hadamard_to_design(h: HadamardMatrix) -> Design:
+    """Symmetric 2-(n-1, n/2-1, n/4-1) design from a Hadamard matrix of order n:
+    the blocks of `_normal_blocks` over the points 1..n-1."""
+    blocks = _normal_blocks(h)
+    n = h.order
     design = Design(n - 1, n // 2 - 1, n // 4 - 1, tuple(blocks))
     report = check_design(design)
     if not (report.ok and report.symmetric):
@@ -379,13 +388,13 @@ def hadamard_to_design(h: HadamardMatrix) -> Design:
 
 def hadamard_family(h: HadamardMatrix) -> Family:
     """Maximum family of n pairwise-independent events on {1..n} from a
-    Hadamard matrix of order n: each design block plus the point n, then
-    the full space."""
-    design = hadamard_to_design(h)
+    Hadamard matrix of order n: each block of `_normal_blocks` plus the
+    point n, then the full space."""
+    blocks = _normal_blocks(h)
     n = h.order
     space = SampleSpace(n)  # orders above 63 exceed the bitmask limit
     top = 1 << (n - 1)
-    events = [space.event_from_mask(blk | top) for blk in design.blocks]
+    events = [space.event_from_mask(blk | top) for blk in blocks]
     events.append(space.omega())
     family = Family(space, tuple(events))
     if not is_valid_g_family(family):
@@ -400,11 +409,8 @@ def projective_plane(q: int) -> Design:
     nonzero coordinate 1); point (x,y,z) lies on line [a,b,c] iff
     ax + by + cz = 0 mod q.
     """
-    if not isinstance(q, int) or isinstance(q, bool) or not _is_prime(q):
-        raise ParameterError(f"q={q!r} is not prime (prime powers are not supported)")
+    _check_prime_below(q, 8, f"plane of order {q} has q^2+q+1 points, above the 63-point limit")
     v = q * q + q + 1
-    if v > 63:
-        raise CapacityError(f"plane of order {q} has {v} points, above the 63-point limit")
     triples = (
         [(1, y, z) for y in range(q) for z in range(q)]
         + [(0, 1, z) for z in range(q)]
@@ -428,12 +434,12 @@ def dualize_design(design: Design) -> Family:
     """Family of v+1 pairwise-independent events on {1..n}, n = r^2/lambda,
     from a 2-(v,k,lambda) design whose parameters admit such an n.
 
-    Point p_i maps to the set of indices of blocks containing it; the
-    dual events have size r and pairwise intersections lambda, and the
+    Point p maps to its column of `_point_columns`, the indices of the
+    blocks containing it; the dual events have size r and pairwise intersections lambda, and the
     design identities guarantee b <= n, so they fit inside {1..n}.
     """
-    if not validate_design(design):
-        report = check_design(design)
+    report = check_design(design)
+    if not report.ok:
         raise ParameterError(f"not a valid 2-design: {report.first_violation}")
     if design.lam < 1:
         raise ParameterError(
@@ -458,13 +464,7 @@ def dualize_design(design: Design) -> Family:
     space = SampleSpace(n)  # raises CapacityError above 63 points
     if design.b > n:
         raise CertificateError("design identities guarantee at most n blocks")
-    events = []
-    for p in range(design.v):
-        mask = 0
-        for j, blk in enumerate(design.blocks):
-            if blk >> p & 1:
-                mask |= 1 << j
-        events.append(space.event_from_mask(mask))
+    events = [space.event_from_mask(col) for col in _point_columns(design)]
     events.append(space.omega())
     family = Family(space, tuple(events))
     if any(ev.size != r for ev in family.events[:-1]):

@@ -13,7 +13,6 @@ intersection counts, in reverse degeneracy order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -207,11 +206,13 @@ class JohnsonGraphOracle:
     def __post_init__(self) -> None:
         if not self.n > self.r > self.s >= 1:
             raise ParameterError(f"need n > r > s >= 1, got ({self.n}, {self.r}, {self.s})")
-        if math.comb(self.n, self.r) > MAX_VERTICES:
-            raise CapacityError(
-                f"C({self.n},{self.r}) = {math.comb(self.n, self.r)} vertices exceed "
-                f"the {MAX_VERTICES} limit"
-            )
+        count = 1  # C(n, i + 1) rises up to i + 1 = min(r, n - r): stop past the limit
+        for i in range(min(self.r, self.n - self.r)):
+            count = count * (self.n - i) // (i + 1)
+            if count > MAX_VERTICES:
+                raise CapacityError(
+                    f"C({self.n},{self.r}) vertices exceed the {MAX_VERTICES} limit"
+                )
 
     def contains_vertex(self, mask: int) -> bool:
         return 0 < mask < 1 << self.n and mask.bit_count() == self.r

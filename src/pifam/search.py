@@ -22,7 +22,6 @@ from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
 from .setsys import (
     CapacityError,
     CertificateError,
-    Family,
     ParameterError,
     SampleSpace,
     mask_to_points,
@@ -190,15 +189,6 @@ def _try_hadamard_family(n: int):
     return hadamard_family(h)
 
 
-def _met_by_construction(family: Family) -> CliqueResult:
-    """g(n) = n from a Hadamard witness family, which meets the bound g(n) <= n."""
-    n = family.space.n
-    if len(family) != n:
-        raise CertificateError(f"Hadamard witness has {len(family)} events, not n={n}")
-    oracle = PowerSetGraphOracle(family.space)
-    return _verified(oracle, list(family.masks()), True, 0, "construction-plus-bound")
-
-
 def g_exact(n: int, method: str = "auto") -> CliqueResult:
     """Maximum size of a pairwise-independent family of nonempty events
     on {1..n}, with witness.
@@ -219,7 +209,10 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
                 f"no Hadamard generator covers n={n} (needs 4 | n and a Sylvester or "
                 f"Paley order); use method='search' for n <= {SEARCH_MAX_N}"
             )
-        return _met_by_construction(family)
+        # hadamard_family certified its pairs; n events meet the bound g(n) <= n
+        if len(family) != n:
+            raise CertificateError(f"Hadamard witness has {len(family)} events, not n={n}")
+        return CliqueResult(n, family.masks(), True, 0, "construction-plus-bound")
     if n > SEARCH_MAX_N:
         raise CapacityError(
             f"methods tried for n={n}: construction (no generator covers it), "
@@ -305,8 +298,9 @@ class SweepRow:
 def conjecture_sweep(n_max: int) -> list[SweepRow]:
     """For each n = 4, 8, ... <= n_max, certify g(n) = n or report OPEN.
 
-    Certification is either a Hadamard construction meeting the g(n) <= n
-    bound or exhaustive search; n beyond both is OPEN, never guessed.
+    Each n is certified by `g_exact(n)`: a Hadamard construction meeting
+    the g(n) <= n bound or exhaustive search; an n beyond both (a
+    CapacityError) is OPEN, never guessed.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
@@ -314,12 +308,9 @@ def conjecture_sweep(n_max: int) -> list[SweepRow]:
         raise ParameterError(f"the sweep is capped at n_max <= 64, got {n_max}")
     rows = []
     for n in range(4, n_max + 1, 4):
-        family = _try_hadamard_family(n)
-        if family is not None:
-            result = _met_by_construction(family)
-        elif n <= SEARCH_MAX_N:
-            result = g_exact(n, "search")
-        else:
+        try:
+            result = g_exact(n)
+        except CapacityError:
             rows.append(SweepRow(n, None, None, "OPEN"))
             continue
         verdict = "HOLDS" if result.size == n else "REFUTED"

@@ -2,9 +2,9 @@
 
 Nothing here shares code with the package internals: rank goes through
 rational Gaussian elimination, clique numbers through networkx, the
-independence relation is restated from scratch, and the H H^T = nI and
+independence relation is restated from scratch, the H H^T = nI and
 design-axiom checks are the plain loops over row pairs, point pairs and
-blocks.
+blocks, and Hadamard normalization negates columns and rows entry by entry.
 """
 
 from __future__ import annotations
@@ -100,6 +100,19 @@ def hadamard_gram_violation(rows) -> str | None:
                 return (f"rows {i + 1} and {j + 1} have inner product {dot}; "
                         f"H H^T = {n}I fails")
     return None
+
+
+def normalized_blocks(rows) -> list[int]:
+    """Negate the columns where row 1 is -1, then the rows that start with
+    -1; rows 2..n as masks of their +1 entries in columns 2..n (bit j - 2
+    for column j)."""
+    rows = [list(row) for row in rows]
+    for j, sign in enumerate(rows[0]):
+        if sign < 0:
+            for row in rows:
+                row[j] = -row[j]
+    rows = [[-x for x in row] if row[0] < 0 else row for row in rows]
+    return [sum(1 << (j - 1) for j in range(1, len(row)) if row[j] > 0) for row in rows[1:]]
 
 
 def design_check_fields(v: int, k: int, lam: int, blocks) -> tuple:

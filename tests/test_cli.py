@@ -253,6 +253,13 @@ def test_johnson_errors(capsys):
     assert run(capsys, "johnson", "--n", "60", "--r", "30", "--s", "15")[0] == 2
 
 
+def test_johnson_size_limit_exits_two_without_the_full_count(capsys):
+    # C(20000, 10000) has over 6000 digits, past Python's int-to-str limit
+    code, _, err = run(capsys, "johnson", "--n", "20000", "--r", "10000", "--s", "1")
+    assert code == 2
+    assert err == "error: C(20000,10000) vertices exceed the 1048576 limit\n"
+
+
 def test_conjecture_table(capsys):
     code, out, _ = run(capsys, "conjecture", "--max", "12")
     assert code == 0

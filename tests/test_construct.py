@@ -25,7 +25,6 @@ from pifam import (
     hadamard_to_json,
     hadamard_to_text,
     is_valid_g_family,
-    normalize,
     paley1,
     paley_orders,
     projective_plane,
@@ -91,16 +90,6 @@ def test_hadamard_matrix_dispatch():
         hadamard_matrix(12, "sylvester")
     with pytest.raises(ParameterError):
         hadamard_matrix(4, "unknown")
-
-
-def test_normalize():
-    h = HadamardMatrix(((-1, -1), (-1, 1)))
-    assert normalize(h).rows == ((1, 1), (1, -1))
-    already = sylvester(2)
-    assert normalize(already).rows == already.rows
-    norm = normalize(paley1(11))
-    assert all(x == 1 for x in norm.rows[0])
-    assert all(row[0] == 1 for row in norm.rows)
 
 
 def test_matrix_text_and_json_round_trip():
@@ -199,6 +188,17 @@ def test_projective_plane_rejects_non_primes_and_overflow():
         projective_plane(1)
     with pytest.raises(CapacityError):
         projective_plane(11)  # 133 points
+
+
+def test_size_limits_come_before_the_primality_test(monkeypatch):
+    def no_trial_division(q):
+        raise AssertionError(f"_is_prime({q}) ran before the size limit")
+
+    monkeypatch.setattr(pifam.construct, "_is_prime", no_trial_division)
+    with pytest.raises(CapacityError):
+        projective_plane(11)
+    with pytest.raises(CapacityError):
+        paley1(67)
 
 
 def test_plane_of_order_2_is_isomorphic_to_fano():

@@ -3,7 +3,8 @@ verify` and family JSON agree with each other and with the oracles on
 random families (n <= 12, t <= 8, and n <= 6 with t up to 16 or with a
 forced rank deficiency); the bit-parallel H H^T = nI and
 design-axiom checks agree with the plain loops in the oracles on random
-and perturbed matrices and designs.
+and perturbed matrices and designs; Hadamard designs and families do not
+change under row and column negations of the generator matrices.
 
 Examples are derandomized and no example database is kept, so a run is
 deterministic and writes nothing.
@@ -34,8 +35,10 @@ from pifam import (
     hadamard_matrix,
     hadamard_to_design,
     is_valid_g_family,
+    paley1,
     paley_orders,
     projective_plane,
+    sylvester,
     sylvester_orders,
     violations,
 )
@@ -46,6 +49,7 @@ from oracles import (
     fraction_rank,
     hadamard_gram_violation,
     independent_masks,
+    normalized_blocks,
 )
 
 # no deadline: a CLI example writes a file, and its time depends on the host
@@ -209,3 +213,23 @@ def designs(draw):
 def test_design_check_matches_the_pairwise_loop(design):
     want = design_check_fields(design.v, design.k, design.lam, design.blocks)
     assert astuple(check_design(design)) == want
+
+
+GENERATOR_MATRICES = [sylvester(k) for k in range(2, 6)] + [
+    paley1(n - 1) for n in paley_orders(60) if n >= 4]
+
+
+@PROPERTY
+@given(st.sampled_from(GENERATOR_MATRICES), st.data())
+def test_sign_flips_leave_hadamard_designs_and_families_unchanged(h, data):
+    n = h.order
+    signs = st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)
+    row_signs, col_signs = data.draw(signs), data.draw(signs)
+    flipped = HadamardMatrix(tuple(
+        tuple(r * c * x for c, x in zip(col_signs, row)) for r, row in zip(row_signs, h.rows)))
+    blocks = hadamard_to_design(h).blocks
+    assert hadamard_to_design(flipped).blocks == blocks
+    assert list(blocks) == normalized_blocks(h.rows) == normalized_blocks(flipped.rows)
+    masks = hadamard_family(h).masks()
+    assert hadamard_family(flipped).masks() == masks
+    assert masks == tuple(b | 1 << (n - 1) for b in blocks) + ((1 << n) - 1,)

@@ -373,17 +373,24 @@ def test_conjecture_sweep_builds_each_witness_once(monkeypatch):
 
 
 def test_construction_witness_pairs_are_checked_once(monkeypatch):
-    calls = []
+    # hadamard_family's is_valid_g_family is the one pass over the pairs
+    calls = {"independent": 0, "adjacent": 0}
+    independent = pifam.setsys.is_independent
     adjacent = PowerSetGraphOracle.adjacent
 
-    def counted(self, a, b):
-        calls.append((a, b))
+    def counted_independent(a, b):
+        calls["independent"] += 1
+        return independent(a, b)
+
+    def counted_adjacent(self, a, b):
+        calls["adjacent"] += 1
         return adjacent(self, a, b)
 
-    monkeypatch.setattr(PowerSetGraphOracle, "adjacent", counted)
+    monkeypatch.setattr(pifam.setsys, "is_independent", counted_independent)
+    monkeypatch.setattr(PowerSetGraphOracle, "adjacent", counted_adjacent)
     result = g_exact(12, "construct")
     assert result.size == 12 and result.method == "construction-plus-bound"
-    assert len(calls) == math.comb(12, 2) == 66
+    assert calls == {"independent": math.comb(12, 2), "adjacent": 0}
 
 
 def test_johnson_seed_pairs_are_checked_once(monkeypatch):
