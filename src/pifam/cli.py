@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input or validation failure or a failed
 certificate check (CertificateError, reported as "error: ..."), 2 capacity
-limit.
+limit.  A reader that closes stdout early (`pifam ... | head -1`) gets
+exit 1 with nothing more printed.
 All human-facing indices are 1-based; all behavior is flag-driven.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -48,7 +50,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # as the signal module docs advise: send the rest to devnull so the
+        # exit-time flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

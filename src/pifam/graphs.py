@@ -197,7 +197,11 @@ class PowerSetGraphOracle:
 
 @dataclass(frozen=True)
 class JohnsonGraphOracle:
-    """Graph on the r-subsets of {1..n} with edges where |A∩B| = s."""
+    """Graph on the r-subsets of {1..n} with edges where |A∩B| = s.
+
+    Its one root is an edge, or a vertex when the graph has no edge; the
+    candidate graph is the common neighbourhood of the root.
+    """
 
     n: int
     r: int
@@ -223,22 +227,39 @@ class JohnsonGraphOracle:
         return (a & b).bit_count() == self.s
 
     def roots(self) -> list[tuple[int, ...]]:
-        """The single root v0 = {1..r}.
+        """The single edge root (v0, v1), v0 = {1..r} and
+        v1 = {1..s} ∪ {r+1..2r-s}; the vertex root (v0,) if n - r < r - s.
 
         Soundness: a permutation of {1..n} preserves sizes and
-        intersection sizes, so it is an automorphism of the graph, and the
-        symmetric group is transitive on r-sets.  Some permutation maps
-        any maximum clique onto one through v0, so ω = 1 + ω(N(v0)).
+        intersection sizes, so it is an automorphism of the graph.
+        * No edge: two r-sets meeting in s points cover 2r - s <= n
+          points, so when n - r < r - s the graph has no edge and ω = 1,
+          the vertex v0 alone.
+        * Edge: an edge (X, Y) splits {1..n} into the cells X∩Y, X - Y,
+          Y - X and the rest, of sizes s, r - s, r - s and n - 2r + s for
+          every edge.  A permutation taking each cell of one edge onto the
+          same cell of another maps the first edge onto the second, so the
+          symmetric group is transitive on ordered edges.  A maximum clique
+          has at least two members once an edge exists, and some
+          permutation maps two of them onto (v0, v1), so
+          ω = 2 + ω(N(v0) ∩ N(v1)).
         """
-        return [((1 << self.r) - 1,)]
+        v0 = (1 << self.r) - 1
+        if self.n - self.r < self.r - self.s:
+            return [(v0,)]
+        return [(v0, (1 << self.s) - 1 | ((1 << (self.r - self.s)) - 1) << self.r)]
 
     def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
-        """The whole graph for an empty prefix, else N(v) for the root (v,):
-        s points inside v and r - s outside."""
+        """The whole graph for an empty prefix, else the common neighbours
+        of the prefix: the r-sets with s points inside its first set and
+        r - s outside, kept when they meet every other prefix set in s."""
         full = (1 << self.n) - 1
         if prefix:
-            (v,) = prefix
-            cand = list(_choose(v, self.s, full ^ v, self.r - self.s))
+            v, rest = prefix[0], prefix[1:]
+            cand = [
+                m for m in _choose(v, self.s, full ^ v, self.r - self.s)
+                if all((m & u).bit_count() == self.s for u in rest)
+            ]
         else:
             cand = list(_choose(0, 0, full, self.r))
         return _ordered(prefix, cand, lambda a, b: self.s)

@@ -247,6 +247,10 @@ def implied_f_bound(n: int, r: int, s: int, omega: int) -> int | None:
 def johnson_omega(n: int, r: int, s: int) -> CliqueResult:
     """Exact clique number of the graph of r-subsets of {1..n} meeting in s points.
 
+    The search is rooted at one edge, since every edge is the image of
+    (v0, v1) under a permutation of the points (proof in
+    `JohnsonGraphOracle.roots`), so it branches only over the common
+    neighbours of v0 and v1; a graph with no edge has ω = 1.
     The search stops at the least of three proven upper bounds, and
     `method` names the one that closed it ("deza-bound-met-by-seed", ...):
     * fisher, ω <= n: the incidence rows M of a clique have Gram matrix

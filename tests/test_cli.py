@@ -1,6 +1,12 @@
 """End-to-end CLI behavior: subcommands, exit codes, and file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import pifam.cli
 from pifam import CertificateError
@@ -258,6 +264,20 @@ def test_johnson_size_limit_exits_two_without_the_full_count(capsys):
     code, _, err = run(capsys, "johnson", "--n", "20000", "--r", "10000", "--s", "1")
     assert code == 2
     assert err == "error: C(20000,10000) vertices exceed the 1048576 limit\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_one_without_a_message(unbuffered):
+    # a reader that is gone before the first write, as `| head -1` can be;
+    # buffered stdout fails at the flush, unbuffered at the first print
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+           "PYTHONPATH": str(Path(pifam.cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pifam.cli", "johnson", "--n", "9", "--r", "3", "--s", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_conjecture_table(capsys):

@@ -274,6 +274,38 @@ def test_johnson_root_matches_unreduced_search():
         assert johnson_omega(*key).size == max_clique(WholeJohnsonGraph(*key)).size
 
 
+class VertexRootJohnsonGraph(JohnsonGraphOracle):
+    """The same graph rooted at the vertex v0 alone, not at an edge."""
+
+    def roots(self):
+        return [((1 << self.r) - 1,)]
+
+
+EDGE_ROOT_JOHNSON = [
+    (n, r, s)
+    for n in range(4, 12)
+    for r in range(2, n - 1)
+    for s in range(1, r)
+    if math.comb(n, r) <= 462
+]
+
+
+@pytest.mark.parametrize("n,r,s", EDGE_ROOT_JOHNSON)
+def test_johnson_edge_root_matches_vertex_root(n, r, s):
+    # with no bound and no seed, the edge root's clique number is the
+    # vertex root's, including the graphs with no edge (n - r < r - s)
+    edge = max_clique(JohnsonGraphOracle(n, r, s))
+    assert edge.size == max_clique(VertexRootJohnsonGraph(n, r, s)).size
+
+
+def test_johnson_roots_pins():
+    (root,) = JohnsonGraphOracle(11, 4, 2).roots()
+    assert len(root) == 2 and (root[0] & root[1]).bit_count() == 2
+    assert JohnsonGraphOracle(7, 5, 1).roots() == [(0b11111,)]  # two 5-sets of 7 meet in >= 3
+    assert johnson_omega(7, 5, 1).size == 1
+    assert johnson_omega(11, 4, 2).nodes_explored == 10  # 1 793 from the vertex root
+
+
 @pytest.mark.parametrize("key,value,method", [
     ((16, 4, 1), 13, "deza-bound-met-by-seed"),  # 13 lines of the plane of order 3
     ((13, 3, 1), 7, "deza-bound-met-by-seed"),   # the Fano plane
