@@ -28,9 +28,8 @@ from .construct import (
     projective_plane,
     sylvester,
     sylvester_orders,
-    validate_design,
 )
-from .exactlin import GramReport, gram_certify, rank
+from .exactlin import GramReport, gram_certify
 from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
 from .search import (
     CliqueResult,
@@ -108,9 +107,7 @@ __all__ = [
     "points_to_mask",
     "probability",
     "projective_plane",
-    "rank",
     "sylvester",
     "sylvester_orders",
-    "validate_design",
     "violations",
 ]

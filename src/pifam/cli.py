@@ -46,11 +46,12 @@ from .setsys import (
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
-        return 0 if exc.code in (0, None) else 1
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)  # --help prints here
+        except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
+            code = 0 if exc.code in (0, None) else 1
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
         return code
     except BrokenPipeError:

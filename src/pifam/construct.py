@@ -215,8 +215,8 @@ class Design:
     """2-(v,k,lambda) block design; blocks are bitmasks over points {1..v}.
 
     The constructor checks only shapes and ranges; the design axioms are
-    the business of check_design / validate_design, so files can be
-    loaded first and judged afterwards.
+    the business of check_design, so files can be loaded first and judged
+    afterwards.
     """
 
     v: int
@@ -344,12 +344,6 @@ def check_design(design: Design) -> DesignCheck:
                 break
     ok = sizes_ok and pairs_ok and inter_ok is not False
     return DesignCheck(ok, symmetric, sizes_ok, pairs_ok, inter_ok, first)
-
-
-def validate_design(design: Design) -> bool:
-    """True iff block sizes and pair coverage (and, for symmetric designs,
-    pairwise block intersections) all match the declared parameters."""
-    return check_design(design).ok
 
 
 def _normal_blocks(h: HadamardMatrix) -> list[int]:

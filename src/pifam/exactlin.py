@@ -12,9 +12,10 @@ has full column rank and t = rank(B) <= n.  Everything here is integer
 arithmetic; a rank claim never rests on a floating-point tolerance.
 
 B itself is never built: the sizes and the Gram entries are read off the
-event bitmasks, and the rank is computed modulo the prime 2^13 - 1 on
-packed event rows, with fraction-free (Bareiss) elimination over the
-integers as the exact fallback when the modular rank is not full.
+event bitmasks, and the rank is computed on packed event rows modulo the
+Mersenne prime 2^13 - 1 and, only when that falls short of min(t, n),
+modulo 2^127 - 1 as well; Hadamard's determinant bound makes the larger
+of the two the exact rank (proof in `gram_certify`).
 """
 
 from __future__ import annotations
@@ -26,82 +27,41 @@ from typing import Any, Sequence
 from .setsys import CertificateError, Family, ParameterError
 
 
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by Bareiss elimination.
-
-    Fraction-free: every intermediate value is an exact minor of the
-    input, so divisions are exact and the result is bit-exact.
-    """
-    rows = [list(row) for row in matrix]
-    if any(type(x) is not int for row in rows for x in row):  # not bool, not float
-        raise ParameterError("rank needs integer entries")
-    m = len(rows)
-    if m == 0:
-        return 0
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ParameterError("rank needs a rectangular matrix")
-    rk = 0
-    prev = 1
-    for col in range(width):
-        if rk == m:
-            break
-        pivot = next((i for i in range(rk, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        lead = rows[rk][col]
-        top = rows[rk]
-        for i in range(rk + 1, m):
-            row = rows[i]
-            head = row[col]
-            for j in range(col + 1, width):
-                quot, rem = divmod(lead * row[j] - head * top[j], prev)
-                if rem:
-                    raise CertificateError("Bareiss division left a remainder")
-                row[j] = quot
-            row[col] = 0
-        prev = lead
-        rk += 1
-    return rk
-
-
-# GF(p) for the Mersenne prime p = 2^13 - 1, one 32-bit field per point: a
-# row operation puts at most p + (p - 1)p < 2^32 in a field, so no field
-# carries into the next, and two Mersenne folds bring every field back to
-# 0..p (a field equal to p stands for 0).
-_BITS = 13
-_P = (1 << _BITS) - 1
-_FIELD = 32
 _BYTES01 = bytes.maketrans(b"01", b"\0\1")
 
 
-def _rank_mod_p(masks: Sequence[int], n: int) -> int:
-    """Rank over GF(p) of the 0/1 event rows on n points.
+def _rank_mod_p(masks: Sequence[int], n: int, bits: int) -> int:
+    """Rank over GF(p), p = 2^bits - 1 a Mersenne prime, of the 0/1 event rows.
 
-    Each row is one int with the entry of point i in field i.  A row is
-    reduced by every pivot row so far, one multiply-add and two folds per
-    pivot; what is left nonzero becomes a pivot on its lowest nonzero field.
+    Each row is one int with the entry of point i in field i, a field being
+    ceil(bits/4) bytes wide, so at least 2*bits bits: a row operation puts at
+    most p + (p - 1)p < 2^(2*bits) in a field, so no field carries into the
+    next, and two Mersenne folds bring every field back to 0..p (a field
+    equal to p stands for 0).  A row is reduced by every pivot row so far,
+    one multiply-add and two folds per pivot; what is left nonzero becomes
+    a pivot on its lowest nonzero field.
     """
-    step = _FIELD // 8
-    ones = ((1 << _FIELD * n) - 1) // ((1 << _FIELD) - 1)  # 1 in every field
-    lo, hi = ones * _P, ones * ((1 << _FIELD - _BITS) - 1)
-    field = (1 << _FIELD) - 1
+    p = (1 << bits) - 1
+    step = -(-bits // 4)
+    width = 8 * step
+    ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # 1 in every field
+    lo, hi = ones * p, ones * ((1 << width - bits) - 1)
+    field = (1 << width) - 1
     pivots: list[tuple[int, int, int]] = []  # (field shift, 1/lead mod p, row)
     for m in masks:
         buf = bytearray(step * n)
         buf[::step] = format(m, f"0{n}b")[::-1].encode().translate(_BYTES01)
         row = int.from_bytes(buf, "little")
         for shift, inv, top in pivots:
-            h = (row >> shift & field) % _P
+            h = (row >> shift & field) % p
             if h:
-                row += (_P - h) * inv % _P * top
-                row = (row & lo) + (row >> _BITS & hi)
-                row = (row & lo) + (row >> _BITS & hi)
-        row -= ((row + ones) >> _BITS & ones) * _P  # fields equal to p become 0
+                row += (p - h) * inv % p * top
+                row = (row & lo) + (row >> bits & hi)
+                row = (row & lo) + (row >> bits & hi)
+        row -= ((row + ones) >> bits & ones) * p  # fields equal to p become 0
         if row:
-            shift = ((row & -row).bit_length() - 1) // _FIELD * _FIELD
-            pivots.append((shift, pow(row >> shift & field, -1, _P), row))
+            shift = ((row & -row).bit_length() - 1) // width * width
+            pivots.append((shift, pow(row >> shift & field, -1, p), row))
             if len(pivots) == n:
                 break
     return len(pivots)
@@ -135,10 +95,19 @@ def gram_certify(family: Family) -> GramReport:
     Requires every event nonempty (the full space is permitted).  A family
     that is not pairwise independent yields gram_ok=False, not an error.
 
-    The rank is first taken over GF(p), p = 2^13 - 1.  A minor that is
-    nonzero mod p is nonzero over the integers, so rank_p <= rank <= min(t, n);
-    rank_p = min(t, n) is therefore the exact rank.  Otherwise Bareiss
-    elimination over the integers decides it, so the rank is always exact.
+    The rank is taken over GF(p) for p = 2^13 - 1 and, when that rank is
+    below min(t, n), also for q = 2^127 - 1; the larger is exact:
+
+    - A minor of B that is nonzero mod p is nonzero over the integers, so
+      each modular rank is at most rank(B) <= min(t, n).  A modular rank
+      equal to min(t, n) is therefore exact.
+    - Let r = rank(B) and M a nonsingular r x r submatrix of B.  M is a 0/1
+      matrix, so Hadamard's bound gives |det M| <= (r+1)^((r+1)/2) / 2^r,
+      and r <= n <= MAX_POINTS = 63, which SampleSpace enforces, makes
+      that at most 2^129 < p*q.  p and q are distinct primes, so a nonzero
+      det M divisible by both would be a multiple of p*q, which it is
+      smaller than.  Hence det M is nonzero mod p or mod q, and one of the
+      two modular ranks reaches r.
     """
     if any(ev.is_empty for ev in family):
         raise ParameterError("gram certificates are defined for nonempty events only")
@@ -152,9 +121,9 @@ def gram_certify(family: Family) -> GramReport:
         n * (masks[a] & masks[b]).bit_count() == u[a] * u[b]
         for a, b in itertools.combinations(range(t), 2)
     )
-    rk = _rank_mod_p(masks, n)
+    rk = _rank_mod_p(masks, n, 13)
     if rk < min(t, n):
-        rk = rank([[m >> i & 1 for i in range(n)] for m in masks])
+        rk = max(rk, _rank_mod_p(masks, n, 127))
     full = rk == t
     if gram_ok and not full:
         # positive definiteness of B^T B forces full column rank

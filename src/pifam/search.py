@@ -295,9 +295,6 @@ class SweepRow:
     method: str | None
     verdict: str  # HOLDS | OPEN | REFUTED
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"n": self.n, "g": self.g, "method": self.method, "verdict": self.verdict}
-
 
 def conjecture_sweep(n_max: int) -> list[SweepRow]:
     """For each n = 4, 8, ... <= n_max, certify g(n) = n or report OPEN.

@@ -17,17 +17,10 @@ from pifam import (
     is_pairwise_independent,
     paley_orders,
     projective_plane,
-    rank,
     sylvester,
     sylvester_orders,
 )
-
-from oracles import fraction_rank
-
-
-def event_rows(family):
-    """The transposed incidence matrix: one 0/1 row per event."""
-    return [[m >> i & 1 for i in range(family.space.n)] for m in family.masks()]
+from pifam.setsys import MAX_POINTS
 
 
 def test_incidence_examples():
@@ -40,57 +33,6 @@ def test_incidence_of_order_4_hadamard_family():
     # the order-4 witness family is three 2-sets through point 4 plus the
     # full space, so the incidence column sums must be (2, 2, 2, 4)
     assert gram_certify(hadamard_family(sylvester(2))).sizes == (2, 2, 2, 4)
-
-
-def test_rank_examples():
-    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-    assert rank([[1, 1, 1], [1, 1, 1], [1, 1, 1]]) == 1
-    assert rank([]) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank(event_rows(hadamard_family(sylvester(3)))) == 8
-
-
-def test_rank_rejects_ragged_input():
-    with pytest.raises(ParameterError):
-        rank([[1, 2], [3]])
-
-
-def test_rank_rejects_non_integer_entries():
-    # int() would truncate 0.5 to 0 and report rank 0; over Q the rank is 1
-    for bad in ([[0.5]], [[1, 0], [0, 1.0]], [[True]], [["1"]]):
-        with pytest.raises(ParameterError):
-            rank(bad)
-
-
-def test_rank_matches_rational_elimination():
-    rng = random.Random(11)
-    for trial in range(400):
-        m = rng.randint(1, 8)
-        w = rng.randint(1, 8)
-        if trial % 3 == 0:
-            # engineered rank deficiency: product of thin factors
-            inner = rng.randint(0, min(m, w))
-            left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(m)]
-            right = [[rng.randint(-4, 4) for _ in range(w)] for _ in range(inner)]
-            mat = [
-                [sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(w)]
-                for i in range(m)
-            ]
-        else:
-            mat = [[rng.randint(-6, 6) for _ in range(w)] for _ in range(m)]
-        assert rank(mat) == fraction_rank(mat)
-
-
-def test_rank_invariant_under_permutations():
-    rng = random.Random(7)
-    mat = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(5)]
-    base = rank(mat)
-    for _ in range(20):
-        rows = mat[:]
-        rng.shuffle(rows)
-        cols = list(range(6))
-        rng.shuffle(cols)
-        assert rank([[row[c] for c in cols] for row in rows]) == base
 
 
 def test_gram_examples():
@@ -164,38 +106,58 @@ def test_gram_full_rank_with_omega_present():
             break  # one instance per n keeps this cheap
 
 
-def counted_rank(monkeypatch):
-    """Replace exactlin.rank, the Bareiss fallback, by a counting wrapper."""
+def counted_passes(monkeypatch, first_bits=13):
+    """Record (exponent, rank) for each pass of the packed rank kernel; the
+    first pass, mod 2^13 - 1, runs mod 2^first_bits - 1 instead."""
     calls = []
+    kernel = exactlin._rank_mod_p
 
-    def counted(matrix):
-        calls.append(len(matrix))
-        return rank(matrix)
+    def counted(masks, n, bits):
+        calls.append((bits, kernel(masks, n, first_bits if bits == 13 else bits)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(exactlin, "rank", counted)
+    monkeypatch.setattr(exactlin, "_rank_mod_p", counted)
     return calls
+
+
+def test_two_primes_exceed_hadamards_bound_at_every_order():
+    # a 0/1 matrix of order r has |det| <= (r+1)^((r+1)/2) / 2^r, and this
+    # must stay below (2^13 - 1)(2^127 - 1) for every r up to MAX_POINTS
+    pq = ((1 << 13) - 1) * ((1 << 127) - 1)
+    for r in range(MAX_POINTS + 1):
+        assert (r + 1) ** (r + 1) < 4**r * pq * pq
 
 
 def test_gram_falls_back_to_bareiss_when_p_divides_a_minor(monkeypatch):
     # det B = +-2 * 12^6 / 2^12 = +-2 * 3^6 for the order-12 witness, so
-    # over GF(3) its rank is short of 12 and only Bareiss can certify it
-    monkeypatch.setattr(exactlin, "_BITS", 2)
-    monkeypatch.setattr(exactlin, "_P", 3)
+    # over GF(3) its rank is short of 12 and only the second prime certifies it
     fam = hadamard_family(hadamard_matrix(12))
-    assert exactlin._rank_mod_p(fam.masks(), 12) < 12
-    calls = counted_rank(monkeypatch)
-    rep = gram_certify(fam)
-    assert rep.gram_ok and rep.full_column_rank and rep.rank == 12
-    assert calls == [12]
+    expected = gram_certify(fam)
+    calls = counted_passes(monkeypatch, first_bits=2)
+    assert gram_certify(fam) == expected
+    assert expected.gram_ok and expected.full_column_rank and expected.rank == 12
+    assert calls == [(13, 6), (127, 12)]
 
 
 def test_gram_rank_needs_no_bareiss_on_the_witness_families(monkeypatch):
-    calls = counted_rank(monkeypatch)
+    calls = counted_passes(monkeypatch)
     orders = sorted(n for n in set(sylvester_orders(60)) | set(paley_orders(60)) if n >= 4)
     families = [hadamard_family(hadamard_matrix(n)) for n in orders]
     families += [dualize_design(projective_plane(q)) for q in (2, 3, 5)]
     for fam in families:
         rep = gram_certify(fam)
         assert rep.gram_ok and rep.full_column_rank and rep.rank == len(fam)
-    assert calls == []
+    assert [bits for bits, _ in calls] == [13] * len(families)
 
+
+def test_gram_ranks_a_deficient_family_in_the_second_pass(monkeypatch):
+    # 256 random events that all avoid point 63 leave column 63 of B zero,
+    # so rank 62 is the most possible and the first pass cannot reach 63
+    space = SampleSpace(63)
+    rng = random.Random(63)
+    fam = Family(space, tuple(space.event_from_mask(rng.randrange(1, 1 << 62))
+                              for _ in range(256)))
+    calls = counted_passes(monkeypatch)
+    rep = gram_certify(fam)
+    assert (rep.rank, rep.gram_ok, rep.full_column_rank) == (62, False, False)
+    assert [bits for bits, _ in calls] == [13, 127]
