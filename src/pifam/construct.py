@@ -33,6 +33,7 @@ from .setsys import (
     Family,
     ParameterError,
     SampleSpace,
+    _is_int,
     is_valid_g_family,
     mask_to_points,
     points_to_mask,
@@ -61,7 +62,7 @@ def _is_prime(m: int) -> bool:
 
 def _check_prime_below(q: Any, limit: int, capacity: str) -> None:
     """Refuse q >= limit with `capacity` before the trial division of q."""
-    if not isinstance(q, int) or isinstance(q, bool) or (q < limit and not _is_prime(q)):
+    if not _is_int(q) or (q < limit and not _is_prime(q)):
         raise ParameterError(f"q={q!r} is not prime (prime powers are not supported)")
     if q >= limit:
         raise CapacityError(capacity)
@@ -110,7 +111,7 @@ class HadamardMatrix:
 
 def sylvester(k: int) -> HadamardMatrix:
     """Hadamard matrix of order 2^k by the doubling construction."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ParameterError(f"sylvester index must be a nonnegative integer, got {k!r}")
     if 2**k > MAX_ORDER:
         raise CapacityError(f"sylvester supports orders up to {MAX_ORDER} (k <= 6), got k={k}")
@@ -155,6 +156,8 @@ def hadamard_matrix(order: int, method: str = "auto") -> HadamardMatrix:
     """Hadamard matrix of the given order, from whichever generator covers it."""
     if method not in ("auto", "sylvester", "paley"):
         raise ParameterError(f"unknown method {method!r}; use sylvester, paley, or auto")
+    if not _is_int(order):
+        raise ParameterError(f"Hadamard order must be an integer, got {order!r}")
     if method in ("auto", "sylvester") and order in sylvester_orders():
         return sylvester(order.bit_length() - 1)
     if method in ("auto", "paley") and order in paley_orders():
@@ -226,6 +229,9 @@ class Design:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
+        for name, value in ("v", self.v), ("k", self.k), ("lambda", self.lam):
+            if not _is_int(value):
+                raise ParameterError(f"design parameter {name} must be an integer, got {value!r}")
         if self.v < 1:
             raise ParameterError(f"a design needs at least one point, got v={self.v}")
         if not 0 <= self.k <= self.v:
@@ -234,6 +240,8 @@ class Design:
             raise ParameterError(f"lambda={self.lam} must be nonnegative")
         full = (1 << self.v) - 1
         for idx, blk in enumerate(self.blocks):
+            if not _is_int(blk):
+                raise ParameterError(f"block {idx + 1} is {blk!r}, not an integer bitmask")
             if blk < 0 or blk > full:
                 raise ParameterError(f"block {idx + 1} has bits outside points 1..{self.v}")
 
@@ -262,7 +270,7 @@ def design_from_dict(data: Any) -> Design:
         raise ParameterError(f"design JSON is missing keys: {sorted(missing)}")
     v, k, lam, raw = data["v"], data["k"], data["lambda"], data["blocks"]
     for name, value in ("v", v), ("k", k), ("lambda", lam):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ParameterError(f'design JSON field "{name}" must be an integer')
     if v > MAX_POINTS:
         raise CapacityError(f"design has v={v} points, above the {MAX_POINTS}-point limit")

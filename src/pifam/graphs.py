@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .setsys import CapacityError, ParameterError, SampleSpace
+from .setsys import CapacityError, ParameterError, SampleSpace, _is_int
 
 MAX_VERTICES = 1 << 20
 
@@ -208,6 +208,9 @@ class JohnsonGraphOracle:
     s: int
 
     def __post_init__(self) -> None:
+        for name, value in ("n", self.n), ("r", self.r), ("s", self.s):
+            if not _is_int(value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not self.n > self.r > self.s >= 1:
             raise ParameterError(f"need n > r > s >= 1, got ({self.n}, {self.r}, {self.s})")
         count = 1  # C(n, i + 1) rises up to i + 1 = min(r, n - r): stop past the limit

@@ -22,8 +22,11 @@ from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
 from .setsys import (
     CapacityError,
     CertificateError,
+    Family,
     ParameterError,
     SampleSpace,
+    _is_int,
+    is_valid_g_family,
     mask_to_points,
 )
 
@@ -122,7 +125,9 @@ def max_clique(
     keeping one incumbent across them.  `upper_bound`, when given, must be
     a valid bound on the clique number; the search stops with optimal=True
     as soon as the incumbent reaches it (this is how a construction meeting
-    a proven bound turns into an instant optimality certificate).
+    a proven bound turns into an instant optimality certificate), and an
+    incumbent above it -- seed, root prefix or search result -- raises
+    CertificateError, so a wrong bound is never reported as met.
     `seed_clique` primes the incumbent and must be pairwise adjacent.  The
     method is "bound-met-by-seed" when the seed alone reaches the bound,
     "bound-met-by-search" when the search does, else "branch-and-bound".
@@ -141,7 +146,11 @@ def max_clique(
             raise ParameterError(f"seed clique is not pairwise adjacent: {a} vs {b}")
 
     def met(size: int) -> bool:
-        return upper_bound is not None and size >= upper_bound
+        if upper_bound is None:
+            return False
+        if size > upper_bound:
+            raise CertificateError(f"a clique of {size} exceeds the upper bound {upper_bound}")
+        return size == upper_bound
 
     best = seeded = list(seed)
     nodes = 0
@@ -189,17 +198,59 @@ def _try_hadamard_family(n: int):
     return hadamard_family(h)
 
 
+def _squarefree_primes(n: int) -> list[int] | None:
+    """The primes dividing n, ascending, when n is squarefree; else None."""
+    primes = []
+    p = 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return None
+            primes.append(p)
+        p += 1
+    return primes
+
+
+def _divisor_family(space: SampleSpace, primes: list[int]) -> Family:
+    """The events M_p = {j <= n : p | j}, one per prime p, then the full space."""
+    n = space.n
+    events = [
+        space.event_from_mask(sum(1 << (j - 1) for j in range(p, n + 1, p))) for p in primes
+    ]
+    family = Family(space, (*events, space.omega()))
+    if not is_valid_g_family(family):
+        raise CertificateError(f"divisor family of n={n} failed the independence check")
+    return family
+
+
 def g_exact(n: int, method: str = "auto") -> CliqueResult:
     """Maximum size of a pairwise-independent family of nonempty events
     on {1..n}, with witness.
 
     method="construct" demands a Hadamard-pipeline witness meeting the
     bound g(n) <= n; method="search" runs exhaustive branch-and-bound
-    (n <= 16); "auto" prefers the construction and falls back to search.
+    (n <= 16); "auto" prefers the Hadamard construction, then, for
+    squarefree n, the divisor family below, and falls back to search.
+
+    Size-quotient bound: for squarefree n with ν(n) prime factors,
+    g(n) <= 1 + ν(n), and the search stops there instead of at n.
+    * A proper event has size a with 0 < a < n, so n ∤ a: its size misses
+      (is not divisible by) at least one prime of n.
+    * Independent events of sizes a and b meet in ab/n points, so n | ab,
+      and each prime of n divides a or b: no prime is missed by the sizes
+      of two events of a family (equal sizes included).
+    * Sending each proper event to a prime its size misses is therefore
+      one-to-one, so at most ν(n) proper events fit, plus Ω.
+    The events M_p = {j <= n : p | j}, one per prime p of n, plus Ω meet
+    the bound: |M_p| = n/p and |M_p ∩ M_q| = n/pq.  So g(n) = 1 + ν(n), which
+    "auto" certifies for every squarefree n <= 63 as
+    "construction-plus-size-bound".
     """
     if method not in ("auto", "search", "construct"):
         raise ParameterError(f"unknown method {method!r}; use search, construct, or auto")
     space = SampleSpace(n)
+    primes = _squarefree_primes(n)
     family = None
     if method in ("auto", "construct"):
         family = _try_hadamard_family(n)
@@ -213,16 +264,19 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
         if len(family) != n:
             raise CertificateError(f"Hadamard witness has {len(family)} events, not n={n}")
         return CliqueResult(n, family.masks(), True, 0, "construction-plus-bound")
+    if method == "auto" and primes is not None:
+        # the family's events are distinct, so it has 1 + ν(n) of them: the bound
+        family = _divisor_family(space, primes)
+        return CliqueResult(len(family), family.masks(), True, 0, "construction-plus-size-bound")
     if n > SEARCH_MAX_N:
         raise CapacityError(
-            f"methods tried for n={n}: construction (no generator covers it), "
-            f"search (capped at n <= {SEARCH_MAX_N})"
+            f"methods tried for n={n}: construction (no Hadamard generator covers it "
+            f"and n is not squarefree), search (capped at n <= {SEARCH_MAX_N})"
             if method == "auto"
             else f"exhaustive search is capped at n <= {SEARCH_MAX_N}, got n={n}"
         )
-    result = max_clique(PowerSetGraphOracle(space), upper_bound=n)
-    if result.size > n:
-        raise CertificateError("rank bound violated: more than n pairwise-independent events")
+    bound = n if primes is None else 1 + len(primes)
+    result = max_clique(PowerSetGraphOracle(space), upper_bound=bound)
     return replace(result, method="search-exhaustive")
 
 
@@ -303,7 +357,7 @@ def conjecture_sweep(n_max: int) -> list[SweepRow]:
     the g(n) <= n bound or exhaustive search; an n beyond both (a
     CapacityError) is OPEN, never guessed.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
     if n_max > 64:
         raise ParameterError(f"the sweep is capped at n_max <= 64, got {n_max}")

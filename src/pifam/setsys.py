@@ -40,11 +40,16 @@ MAX_POINTS = 63  # an event must fit one machine-width bitmask
 MAX_EVENTS = 256
 
 
+def _is_int(value: Any) -> bool:
+    """True for an int that is not a bool (bool is an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def points_to_mask(points: Iterable[int], n: int) -> int:
     """Bitmask of a collection of 1-indexed sample points."""
     mask = 0
     for p in points:
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise ParameterError(f"sample point {p!r} is not an integer")
         if not 1 <= p <= n:
             raise ParameterError(f"sample point {p} outside 1..{n}")
@@ -69,7 +74,7 @@ class SampleSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
+        if not _is_int(self.n):
             raise ParameterError(f"sample space size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError(f"sample space needs at least one point, got n={self.n}")
@@ -101,6 +106,8 @@ class Event:
     mask: int
 
     def __post_init__(self) -> None:
+        if not _is_int(self.mask):
+            raise ParameterError(f"event mask {self.mask!r} is not an integer")
         if self.mask < 0 or self.mask > self.space.full_mask:
             raise ParameterError(
                 f"mask {self.mask:#x} has bits outside points 1..{self.space.n}"
@@ -240,7 +247,7 @@ def family_from_dict(data: Any) -> Family:
     if missing:
         raise ParameterError(f"family JSON is missing keys: {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ParameterError('family JSON field "n" must be an integer')
     raw_events = data["events"]
     if not isinstance(raw_events, list):

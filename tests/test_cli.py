@@ -46,6 +46,15 @@ def test_gmax_search_method(capsys):
     assert payload["method"] == "search-exhaustive"
 
 
+def test_gmax_squarefree_by_the_size_bound(capsys):
+    code, out, _ = run(capsys, "gmax", "--n", "30", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["g"], payload["f"], payload["optimal"]) == (4, 5, True)
+    assert payload["method"] == "construction-plus-size-bound"
+    assert payload["witness"]["events"][0] == list(range(2, 31, 2))
+
+
 def test_gmax_capacity_exit(capsys):
     code, _, err = run(capsys, "gmax", "--n", "18")
     assert code == 2

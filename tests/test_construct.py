@@ -25,6 +25,7 @@ from pifam import (
     hadamard_to_json,
     hadamard_to_text,
     is_valid_g_family,
+    johnson_omega,
     paley1,
     paley_orders,
     projective_plane,
@@ -282,6 +283,30 @@ def test_design_json_round_trip():
 def test_design_from_dict_rejects_malformed(data):
     with pytest.raises(ParameterError):
         design_from_dict(data)
+
+
+@pytest.mark.parametrize("blocks", [(1.5,), (True,), (0b111, 7.0)])
+def test_design_blocks_must_be_integer_bitmasks(blocks):
+    with pytest.raises(ParameterError, match="not an integer bitmask"):
+        Design(7, 3, 1, blocks)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hadamard_matrix(4.0),
+    lambda: hadamard_matrix(True),
+    lambda: hadamard_matrix(4.0, "sylvester"),
+    lambda: johnson_omega(9.0, 3, 1),
+    lambda: johnson_omega(9, 3.0, 1),
+    lambda: johnson_omega(9, 3, True),
+    lambda: Design(7.0, 3, 1, ()),
+    lambda: Design(7, 3, True, ()),
+    lambda: Design(7, None, 1, ()),
+], ids=["order-float", "order-bool", "sylvester-float", "johnson-n-float",
+        "johnson-r-float", "johnson-s-bool", "design-v-float", "design-lambda-bool",
+        "design-k-none"])
+def test_integer_parameters_refuse_floats_and_bools(call):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
 
 
 def test_failed_certificates_raise(monkeypatch):

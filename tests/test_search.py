@@ -14,6 +14,7 @@ import pytest
 import pifam
 from pifam import (
     CapacityError,
+    CertificateError,
     Family,
     JohnsonGraphOracle,
     ParameterError,
@@ -33,9 +34,18 @@ from pifam import (
 
 from oracles import brute_f, brute_g, brute_johnson_omega, brute_max_clique
 
-# values computed with the networkx-based oracle in oracles.py, frozen here
-G_VALUES = {1: 1, 2: 2, 3: 2, 4: 4, 5: 2, 6: 3, 7: 2, 8: 8, 9: 8, 10: 3}
+# values computed with the networkx-based oracle in oracles.py, frozen here;
+# n = 11..15, past networkx's reach, by the search and the g(n) <= n and
+# 1 + ν(n) bounds
+G_VALUES = {1: 1, 2: 2, 3: 2, 4: 4, 5: 2, 6: 3, 7: 2, 8: 8, 9: 8, 10: 3,
+            11: 2, 12: 12, 13: 2, 14: 3, 15: 3}
 JOHNSON_VALUES = {(4, 2, 1): 3, (8, 4, 2): 7, (9, 3, 1): 7, (6, 3, 1): 4}
+SQUAREFREE = [n for n in range(1, 64) if all(n % (p * p) for p in range(2, 8))]
+
+
+def primes_of(n):
+    """The distinct primes dividing n, ascending, by trial division."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
 
 
 def complete_graph(m):
@@ -111,6 +121,18 @@ def test_max_clique_seed_and_bound():
     assert set(result.witness) == set(seed)
 
 
+def test_max_clique_refuses_an_incumbent_above_the_bound():
+    # a wrong bound must never be reported as met: the root prefix (Ω, v_2)
+    # already has two members, and so has a seed
+    oracle = PowerSetGraphOracle(SampleSpace(4))
+    with pytest.raises(CertificateError, match="exceeds the upper bound 1"):
+        max_clique(oracle, upper_bound=1)
+    seed = hadamard_family(hadamard_matrix(4)).masks()
+    with pytest.raises(CertificateError, match="clique of 4 exceeds the upper bound 3"):
+        max_clique(oracle, upper_bound=3, seed_clique=seed)
+    assert max_clique(oracle, upper_bound=4).method == "bound-met-by-search"
+
+
 def test_max_clique_rejects_bad_seeds():
     oracle = PowerSetGraphOracle(SampleSpace(4))
     with pytest.raises(ParameterError):
@@ -158,12 +180,39 @@ class WholeJohnsonGraph(JohnsonGraphOracle):
         return [()]
 
 
-@pytest.mark.parametrize("n", sorted(G_VALUES))
+@pytest.mark.parametrize("n", [n for n in sorted(G_VALUES) if n <= 10])
 def test_root_reduction_matches_unreduced_search(n):
     # complement halving and one root per size class give the clique
     # number of the whole graph, searched from the empty prefix
     whole = max_clique(WholePowerSetGraph(SampleSpace(n)))
     assert whole.size == G_VALUES[n] == g_exact(n, "search").size
+
+
+def test_size_quotient_bound_matches_brute_force_for_squarefree_n():
+    # 1 + ν(n) against networkx and the unreduced whole-graph search
+    for n in (n for n in SQUAREFREE if n <= 10):
+        whole = max_clique(WholePowerSetGraph(SampleSpace(n))).size
+        assert 1 + len(primes_of(n)) == brute_g(n) == whole == g_exact(n, "search").size
+
+
+@pytest.mark.parametrize("n", [n for n in SQUAREFREE if n <= 16])
+def test_squarefree_search_stops_at_the_size_quotient_bound(n):
+    result = g_exact(n, "search")
+    assert (result.size, result.optimal) == (1 + len(primes_of(n)), True)
+    assert result.method == "search-exhaustive"
+    assert is_valid_g_family(Family.from_masks(n, result.witness))
+    if len(primes_of(n)) > 1:  # 6, 10, 14, 15: the first node meets the bound
+        assert result.nodes_explored == 1
+
+
+@pytest.mark.parametrize("n", SQUAREFREE)
+def test_auto_certifies_squarefree_n_by_the_divisor_family(n):
+    result = g_exact(n)
+    assert (result.size, result.optimal, result.nodes_explored) == (1 + len(primes_of(n)), True, 0)
+    assert result.method == "construction-plus-size-bound"
+    assert is_valid_g_family(Family.from_masks(n, result.witness))
+    multiples = [sum(1 << (j - 1) for j in range(p, n + 1, p)) for p in primes_of(n)]
+    assert result.witness == (*multiples, (1 << n) - 1)
 
 
 def test_g_exact_construct_method():
@@ -188,7 +237,8 @@ def test_search_at_the_capacity_agrees_with_the_hadamard_route():
 
 def test_g_exact_auto_prefers_construction():
     assert g_exact(8).method == "construction-plus-bound"
-    assert g_exact(7).method == "search-exhaustive"
+    assert g_exact(9).method == "search-exhaustive"
+    assert g_exact(7).method == "construction-plus-size-bound"
     assert g_exact(20).method == "construction-plus-bound"  # beyond search capacity
 
 
@@ -196,8 +246,12 @@ def test_g_exact_capacity_and_parameters():
     with pytest.raises(CapacityError):
         g_exact(17, "search")
     with pytest.raises(CapacityError) as err:
-        g_exact(18, "auto")  # 18 is not a multiple of 4; search is capped
+        g_exact(18, "auto")  # 18 is neither a multiple of 4 nor squarefree; search is capped
     assert "search" in str(err.value)
+    with pytest.raises(CapacityError):
+        g_exact(30, "search")  # auto certifies 30 by construction; search is still capped
+    with pytest.raises(CapacityError):
+        g_exact(30, "construct")  # the construct method is Hadamard-only
     with pytest.raises(ParameterError):
         g_exact(4, "guess")
     with pytest.raises(ParameterError):

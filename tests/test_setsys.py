@@ -115,6 +115,19 @@ def test_edge_events_are_universal():
         assert is_independent(ev, space.empty())
 
 
+@pytest.mark.parametrize("mask", [15.0, True, False, "15", None])
+def test_event_masks_must_be_integers(mask):
+    with pytest.raises(ParameterError, match="not an integer"):
+        SampleSpace(4).event_from_mask(mask)
+
+
+def test_a_float_mask_cannot_pass_as_a_g_family():
+    # a one-event family has no pair to test, so only the mask check stops it
+    with pytest.raises(ParameterError):
+        Family.from_masks(4, [15.0])
+    assert is_valid_g_family(Family.from_masks(4, [15]))
+
+
 def test_family_rejects_duplicates_and_mixed_spaces():
     space = SampleSpace(3)
     with pytest.raises(ParameterError):
