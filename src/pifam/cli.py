@@ -142,7 +142,7 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
 def _load_matrix(path: Path) -> HadamardMatrix:
     text = path.read_text()
     if text.lstrip().startswith("["):
-        return hadamard_from_json(json.loads(text))
+        return hadamard_from_json(_load_json(path))
     return hadamard_from_text(text)
 
 
@@ -155,7 +155,7 @@ def _matrix_from_args(args: argparse.Namespace) -> HadamardMatrix:
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 

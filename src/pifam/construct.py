@@ -32,7 +32,6 @@ from .setsys import (
     CertificateError,
     Family,
     ParameterError,
-    SampleSpace,
     _is_int,
     is_valid_g_family,
     mask_to_points,
@@ -176,7 +175,8 @@ def hadamard_to_text(h: HadamardMatrix) -> str:
 
 
 def _check_order(rows: int) -> None:
-    """Refuse a matrix file past MAX_ORDER rows before its O(n^3) H H^T check."""
+    """Refuse a matrix file past MAX_ORDER rows before its H H^T check of
+    n(n-1)/2 XOR-popcounts of +1 column masks."""
     if rows > MAX_ORDER:
         raise CapacityError(f"matrix has more than {MAX_ORDER} rows, above the order limit")
 
@@ -234,6 +234,8 @@ class Design:
                 raise ParameterError(f"design parameter {name} must be an integer, got {value!r}")
         if self.v < 1:
             raise ParameterError(f"a design needs at least one point, got v={self.v}")
+        if self.v > MAX_POINTS:  # before the 2^v - 1 mask below
+            raise CapacityError(f"design has v={self.v} points, above the {MAX_POINTS}-point limit")
         if not 0 <= self.k <= self.v:
             raise ParameterError(f"block size k={self.k} outside 0..v={self.v}")
         if self.lam < 0:
@@ -394,11 +396,9 @@ def hadamard_family(h: HadamardMatrix) -> Family:
     point n, then the full space."""
     blocks = _normal_blocks(h)
     n = h.order
-    space = SampleSpace(n)  # orders above 63 exceed the bitmask limit
     top = 1 << (n - 1)
-    events = [space.event_from_mask(blk | top) for blk in blocks]
-    events.append(space.omega())
-    family = Family(space, tuple(events))
+    # from_masks refuses orders above 63, past the bitmask limit
+    family = Family.from_masks(n, [*(blk | top for blk in blocks), (1 << n) - 1])
     if not is_valid_g_family(family):
         raise CertificateError("Hadamard family failed the independence check")
     return family
@@ -463,12 +463,10 @@ def dualize_design(design: Design) -> Family:
             f"with lambda*n = r^2 exists"
         )
     n = r * r // design.lam
-    space = SampleSpace(n)  # raises CapacityError above 63 points
     if design.b > n:
         raise CertificateError("design identities guarantee at most n blocks")
-    events = [space.event_from_mask(col) for col in _point_columns(design)]
-    events.append(space.omega())
-    family = Family(space, tuple(events))
+    # SampleSpace raises CapacityError above 63 points
+    family = Family.from_masks(n, [*_point_columns(design), (1 << n) - 1])
     if any(ev.size != r for ev in family.events[:-1]):
         raise CertificateError(f"a dual event does not have size r={r}")
     if not is_valid_g_family(family):

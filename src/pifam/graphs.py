@@ -23,18 +23,15 @@ MAX_VERTICES = 1 << 20
 
 @dataclass
 class _BuiltGraph:
-    prefix: tuple[int, ...]  # forced vertices, pairwise adjacent
-    cand: list[int]          # vertices adjacent to every prefix vertex, in search order
-    adj: list[int]           # adjacency bitsets over cand indices
+    cand: list[int]  # vertices adjacent to every root vertex, in search order
+    adj: list[int]   # adjacency bitsets over cand indices
 
 
-def _ordered(
-    prefix: tuple[int, ...], cand: list[int], meet: Callable[[int, int], int | None]
-) -> _BuiltGraph:
+def _ordered(cand: list[int], meet: Callable[[int, int], int | None]) -> _BuiltGraph:
     """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order."""
     perm = _degeneracy_permutation(_intersection_graph(cand, meet))
     cand = [cand[i] for i in perm]
-    return _BuiltGraph(prefix, cand, _intersection_graph(cand, meet))
+    return _BuiltGraph(cand, _intersection_graph(cand, meet))
 
 
 def _degeneracy_permutation(adj: list[int]) -> list[int]:
@@ -192,7 +189,7 @@ class PowerSetGraphOracle:
                 w = self._meet(v.bit_count(), b)
                 if w is not None:
                     cand += [top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w)]
-        return _ordered(prefix, cand, self._meet)
+        return _ordered(cand, self._meet)
 
 
 @dataclass(frozen=True)
@@ -265,5 +262,5 @@ class JohnsonGraphOracle:
             ]
         else:
             cand = list(_choose(0, 0, full, self.r))
-        return _ordered(prefix, cand, lambda a, b: self.s)
+        return _ordered(cand, lambda a, b: self.s)
 

@@ -14,6 +14,7 @@ proven upper bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -156,15 +157,17 @@ def max_clique(
     nodes = 0
 
     def finish(method: str) -> CliqueResult:
-        if best is seeded:  # its pairs were checked above
-            return CliqueResult(len(best), tuple(best), True, nodes, method)
-        return _verified(oracle, best, True, nodes, method)
+        if best is not seeded:  # a seed's pairs were checked above
+            for a, b in itertools.combinations(best, 2):
+                if not oracle.adjacent(a, b):
+                    raise CertificateError(f"witness fails adjacency: {a} vs {b}")
+        return CliqueResult(len(best), tuple(best), True, nodes, method)
 
     if met(len(best)):
         return finish("bound-met-by-seed")
     for root in oracle.roots():
         graph = oracle.build_graph(root)
-        base = list(graph.prefix)
+        base = list(root)
         if len(base) > len(best):
             best = base
         if graph.cand and not met(len(best)):
@@ -178,47 +181,20 @@ def max_clique(
     return finish("branch-and-bound")
 
 
-def _verified(
-    oracle: Any, witness: list[int], optimal: bool, nodes: int, method: str
-) -> CliqueResult:
-    for a, b in itertools.combinations(witness, 2):
-        if not oracle.adjacent(a, b):
-            raise CertificateError(f"witness fails adjacency: {a} vs {b}")
-    return CliqueResult(len(witness), tuple(witness), optimal, nodes, method)
-
-
-def _try_hadamard_family(n: int):
+def _try_hadamard_family(n: int) -> Family | None:
     """Witness family from a Hadamard generator covering order n, else None."""
-    if n < 4 or n % 4 != 0 or n > 63:
+    if n < 4 or n % 4 != 0:
         return None
     try:
-        h = hadamard_matrix(n)
-    except CapacityError:
+        return hadamard_family(hadamard_matrix(n))
+    except CapacityError:  # no generator, or order 64 past the bitmask limit
         return None
-    return hadamard_family(h)
 
 
-def _squarefree_primes(n: int) -> list[int] | None:
-    """The primes dividing n, ascending, when n is squarefree; else None."""
-    primes = []
-    p = 2
-    while n > 1:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return None
-            primes.append(p)
-        p += 1
-    return primes
-
-
-def _divisor_family(space: SampleSpace, primes: list[int]) -> Family:
+def _divisor_family(n: int, primes: list[int]) -> Family:
     """The events M_p = {j <= n : p | j}, one per prime p, then the full space."""
-    n = space.n
-    events = [
-        space.event_from_mask(sum(1 << (j - 1) for j in range(p, n + 1, p))) for p in primes
-    ]
-    family = Family(space, (*events, space.omega()))
+    masks = [sum(1 << (j - 1) for j in range(p, n + 1, p)) for p in primes]
+    family = Family.from_masks(n, [*masks, (1 << n) - 1])
     if not is_valid_g_family(family):
         raise CertificateError(f"divisor family of n={n} failed the independence check")
     return family
@@ -250,23 +226,22 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
     if method not in ("auto", "search", "construct"):
         raise ParameterError(f"unknown method {method!r}; use search, construct, or auto")
     space = SampleSpace(n)
-    primes = _squarefree_primes(n)
-    family = None
-    if method in ("auto", "construct"):
-        family = _try_hadamard_family(n)
-    if method == "construct" or (method == "auto" and family is not None):
-        if family is None:
-            raise CapacityError(
-                f"no Hadamard generator covers n={n} (needs 4 | n and a Sylvester or "
-                f"Paley order); use method='search' for n <= {SEARCH_MAX_N}"
-            )
+    primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+    squarefree = math.prod(primes) == n
+    family = _try_hadamard_family(n) if method != "search" else None
+    if family is not None:
         # hadamard_family certified its pairs; n events meet the bound g(n) <= n
         if len(family) != n:
             raise CertificateError(f"Hadamard witness has {len(family)} events, not n={n}")
         return CliqueResult(n, family.masks(), True, 0, "construction-plus-bound")
-    if method == "auto" and primes is not None:
+    if method == "construct":
+        raise CapacityError(
+            f"no Hadamard generator covers n={n} (needs 4 | n and a Sylvester or "
+            f"Paley order); use method='search' for n <= {SEARCH_MAX_N}"
+        )
+    if method == "auto" and squarefree:
         # the family's events are distinct, so it has 1 + ν(n) of them: the bound
-        family = _divisor_family(space, primes)
+        family = _divisor_family(n, primes)
         return CliqueResult(len(family), family.masks(), True, 0, "construction-plus-size-bound")
     if n > SEARCH_MAX_N:
         raise CapacityError(
@@ -275,7 +250,7 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
             if method == "auto"
             else f"exhaustive search is capped at n <= {SEARCH_MAX_N}, got n={n}"
         )
-    bound = n if primes is None else 1 + len(primes)
+    bound = 1 + len(primes) if squarefree else n
     result = max_clique(PowerSetGraphOracle(space), upper_bound=bound)
     return replace(result, method="search-exhaustive")
 

@@ -216,14 +216,17 @@ def is_pairwise_independent(family: Iterable[Event]) -> bool:
 def violations(family: Family) -> Iterator[str]:
     """Why a family is not a g-family: each empty event, then each dependent
     pair, in family order.  Yields nothing for a valid family."""
-    n = family.space.n
+    n, events, masks = family.space.n, family.events, family.masks()
     for ev in family:
         if ev.is_empty:
             yield f"event {ev} is empty"
-    for a, b in itertools.combinations(family, 2):
-        if not is_independent(a, b):
-            yield (f"{a} vs {b}: {n}*|A∩B| = {n * (a & b).size} "
-                   f"but |A|*|B| = {a.size * b.size}")
+    sizes = [m.bit_count() for m in masks]
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            meet = n * (a & masks[j]).bit_count()
+            if meet != sizes[i] * sizes[j]:
+                yield (f"{events[i]} vs {events[j]}: {n}*|A∩B| = {meet} "
+                       f"but |A|*|B| = {sizes[i] * sizes[j]}")
 
 
 def is_valid_g_family(family: Family) -> bool:

@@ -205,6 +205,27 @@ def test_corrupt_matrix_import(tmp_path, capsys):
     matrix_file.write_text("++\n+(\n")
     code, _, err = run(capsys, "family", "from-hadamard", "--matrix", str(matrix_file))
     assert code == 1
+    json_file = tmp_path / "h.json"  # read like design and family files, name in the error
+    json_file.write_text("[[1, 1], [1,")
+    code, _, err = run(capsys, "family", "from-hadamard", "--matrix", str(json_file))
+    assert code == 1
+    assert err.startswith(f"error: {json_file} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "verify"],
+    ["family", "gram"],
+    ["family", "from-design"],
+    ["design", "check"],
+    ["family", "from-hadamard", "--matrix"],
+], ids="-".join)
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):
+    # json's decoder recurses per level and raises RecursionError, not a decode error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *argv, str(deep))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {deep} is not valid JSON: ") and err.count("\n") == 1
 
 
 def test_family_verify_names_failing_pairs(tmp_path, capsys):
@@ -315,7 +336,7 @@ def test_written_families_reload_identically(tmp_path, capsys):
 
 
 def test_oversized_matrix_file_exits_two(tmp_path, capsys):
-    # 65 rows are refused by count, before the O(n^3) orthogonality check
+    # 65 rows are refused by count, before the orthogonality check
     text_file = tmp_path / "h65.txt"
     text_file.write_text(("+" * 65 + "\n") * 65)
     json_file = tmp_path / "h65.json"

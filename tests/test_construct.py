@@ -291,6 +291,13 @@ def test_design_blocks_must_be_integer_bitmasks(blocks):
         Design(7, 3, 1, blocks)
 
 
+@pytest.mark.parametrize("v", [64, 10**9])
+def test_design_refuses_more_points_than_a_bitmask_holds(v):
+    # refused before the 2^v-bit mask of the range check is built
+    with pytest.raises(CapacityError, match=f"v={v} points"):
+        Design(v, 1, 0, ())
+
+
 @pytest.mark.parametrize("call", [
     lambda: hadamard_matrix(4.0),
     lambda: hadamard_matrix(True),

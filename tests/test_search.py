@@ -242,6 +242,23 @@ def test_g_exact_auto_prefers_construction():
     assert g_exact(20).method == "construction-plus-bound"  # beyond search capacity
 
 
+def test_auto_route_of_every_n_below_64():
+    routes = {}
+    for n in range(1, 64):
+        try:
+            route = g_exact(n).method
+        except CapacityError:
+            route = "CapacityError"
+        routes.setdefault(route, []).append(n)
+    assert routes == {
+        "CapacityError": [18, 25, 27, 28, 36, 40, 45, 49, 50, 52, 54, 56, 63],
+        "construction-plus-size-bound": SQUAREFREE,
+        "construction-plus-bound": [4, 8, 12, 16, 20, 24, 32, 44, 48, 60],
+        "search-exhaustive": [9],
+    }
+    assert len(SQUAREFREE) == 39
+
+
 def test_g_exact_capacity_and_parameters():
     with pytest.raises(CapacityError):
         g_exact(17, "search")
@@ -459,24 +476,25 @@ def test_conjecture_sweep_builds_each_witness_once(monkeypatch):
 
 
 def test_construction_witness_pairs_are_checked_once(monkeypatch):
-    # hadamard_family's is_valid_g_family is the one pass over the pairs
-    calls = {"independent": 0, "adjacent": 0}
-    independent = pifam.setsys.is_independent
+    # hadamard_family's is_valid_g_family is the one pass over the 66 pairs
+    checked, adjacent_calls = [], []
+    valid = pifam.setsys.is_valid_g_family
     adjacent = PowerSetGraphOracle.adjacent
 
-    def counted_independent(a, b):
-        calls["independent"] += 1
-        return independent(a, b)
+    def counted_valid(family):
+        checked.append(math.comb(len(family), 2))
+        return valid(family)
 
     def counted_adjacent(self, a, b):
-        calls["adjacent"] += 1
+        adjacent_calls.append((a, b))
         return adjacent(self, a, b)
 
-    monkeypatch.setattr(pifam.setsys, "is_independent", counted_independent)
+    for module in (pifam.setsys, pifam.construct, pifam.search, pifam.exactlin):
+        monkeypatch.setattr(module, "is_valid_g_family", counted_valid)
     monkeypatch.setattr(PowerSetGraphOracle, "adjacent", counted_adjacent)
     result = g_exact(12, "construct")
     assert result.size == 12 and result.method == "construction-plus-bound"
-    assert calls == {"independent": math.comb(12, 2), "adjacent": 0}
+    assert checked == [math.comb(12, 2)] and adjacent_calls == []
 
 
 def test_johnson_seed_pairs_are_checked_once(monkeypatch):
