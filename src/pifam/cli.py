@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CertificateError, ParameterError, ValueError, OSError) as exc:
+    except (CertificateError, ValueError, OSError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -139,23 +139,20 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--matrix", type=Path, help="read a matrix file (text or JSON)")
 
 
-def _load_matrix(path: Path) -> HadamardMatrix:
-    text = path.read_text()
-    if text.lstrip().startswith("["):
-        return hadamard_from_json(_load_json(path))
-    return hadamard_from_text(text)
-
-
 def _matrix_from_args(args: argparse.Namespace) -> HadamardMatrix:
-    if args.matrix is not None:
-        return _load_matrix(args.matrix)
-    return hadamard_matrix(args.order)
+    if args.matrix is None:
+        return hadamard_matrix(args.order)
+    text = args.matrix.read_text()
+    if text.lstrip().startswith("["):
+        return hadamard_from_json(_load_json(args.matrix))
+    return hadamard_from_text(text)
 
 
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
+    # ValueError: bad JSON or bytes, an int past 4300 digits; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 

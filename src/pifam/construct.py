@@ -23,7 +23,7 @@ pair of points as the popcount of the AND of the two points' block masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .setsys import (
@@ -33,9 +33,11 @@ from .setsys import (
     Family,
     ParameterError,
     _is_int,
+    _json_object,
+    _point_lists,
+    _shown,
     is_valid_g_family,
     mask_to_points,
-    points_to_mask,
 )
 
 MAX_ORDER = 64  # largest Hadamard order any generator emits
@@ -87,7 +89,7 @@ class HadamardMatrix:
             mask = 0
             for c, x in enumerate(row):
                 if type(x) is not int or x not in (1, -1):  # not bool, not float
-                    raise ParameterError(f"entry {x!r} is not +1 or -1")
+                    raise ParameterError(f"entry {_shown(x)} is not +1 or -1")
                 if x == 1:
                     mask |= 1 << c
             plus.append(mask)
@@ -188,15 +190,10 @@ def hadamard_from_text(text: str) -> HadamardMatrix:
         if not line:
             continue
         _check_order(len(rows) + 1)
-        row = []
         for ch in line:
-            if ch == "+":
-                row.append(1)
-            elif ch == "-":
-                row.append(-1)
-            else:
+            if ch not in "+-":
                 raise ParameterError(f"unexpected character {ch!r} in matrix text")
-        rows.append(tuple(row))
+        rows.append(tuple(1 if ch == "+" else -1 for ch in line))
     if not rows:
         raise ParameterError("matrix text contains no rows")
     return HadamardMatrix(tuple(rows))
@@ -231,19 +228,21 @@ class Design:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         for name, value in ("v", self.v), ("k", self.k), ("lambda", self.lam):
             if not _is_int(value):
-                raise ParameterError(f"design parameter {name} must be an integer, got {value!r}")
+                raise ParameterError(
+                    f"design parameter {name} must be an integer, got {_shown(value)}")
         if self.v < 1:
-            raise ParameterError(f"a design needs at least one point, got v={self.v}")
+            raise ParameterError(f"a design needs at least one point, got v={_shown(self.v)}")
         if self.v > MAX_POINTS:  # before the 2^v - 1 mask below
-            raise CapacityError(f"design has v={self.v} points, above the {MAX_POINTS}-point limit")
+            raise CapacityError(
+                f"design has v={_shown(self.v)} points, above the {MAX_POINTS}-point limit")
         if not 0 <= self.k <= self.v:
-            raise ParameterError(f"block size k={self.k} outside 0..v={self.v}")
+            raise ParameterError(f"block size k={_shown(self.k)} outside 0..v={self.v}")
         if self.lam < 0:
-            raise ParameterError(f"lambda={self.lam} must be nonnegative")
+            raise ParameterError(f"lambda={_shown(self.lam)} must be nonnegative")
         full = (1 << self.v) - 1
         for idx, blk in enumerate(self.blocks):
             if not _is_int(blk):
-                raise ParameterError(f"block {idx + 1} is {blk!r}, not an integer bitmask")
+                raise ParameterError(f"block {idx + 1} is {_shown(blk)}, not an integer bitmask")
             if blk < 0 or blk > full:
                 raise ParameterError(f"block {idx + 1} has bits outside points 1..{self.v}")
 
@@ -265,30 +264,9 @@ def design_to_dict(design: Design) -> dict[str, Any]:
 
 
 def design_from_dict(data: Any) -> Design:
-    if not isinstance(data, dict):
-        raise ParameterError("design JSON must be an object")
-    missing = {"v", "k", "lambda", "blocks"} - data.keys()
-    if missing:
-        raise ParameterError(f"design JSON is missing keys: {sorted(missing)}")
-    v, k, lam, raw = data["v"], data["k"], data["lambda"], data["blocks"]
-    for name, value in ("v", v), ("k", k), ("lambda", lam):
-        if not _is_int(value):
-            raise ParameterError(f'design JSON field "{name}" must be an integer')
-    if v > MAX_POINTS:
-        raise CapacityError(f"design has v={v} points, above the {MAX_POINTS}-point limit")
-    if not isinstance(raw, list):
-        raise ParameterError('design JSON field "blocks" must be a list of point lists')
-    if len(raw) > MAX_BLOCKS:
-        raise CapacityError(f"design has {len(raw)} blocks, above the {MAX_BLOCKS}-block limit")
-    blocks = []
-    for item in raw:
-        if not isinstance(item, list):
-            raise ParameterError(f"block {item!r} is not a list of points")
-        mask = points_to_mask(item, v if v >= 1 else 1)
-        if mask.bit_count() != len(item):
-            raise ParameterError(f"block {item!r} repeats a point")
-        blocks.append(mask)
-    return Design(v, k, lam, tuple(blocks))
+    v, k, lam, blocks = _json_object(data, "design", ("v", "k", "lambda", "blocks"))
+    design = Design(v, k, lam, ())  # checks v, k and lambda before any block is read
+    return replace(design, blocks=_point_lists(blocks, "blocks", v, MAX_BLOCKS))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ no rational numbers appear on search hot paths.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
@@ -45,14 +46,19 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _shown(value: Any) -> str:
+    """`reprlib`'s short repr, so an error quotes a huge list or string in brief."""
+    return reprlib.repr(value)
+
+
 def points_to_mask(points: Iterable[int], n: int) -> int:
     """Bitmask of a collection of 1-indexed sample points."""
     mask = 0
     for p in points:
         if not _is_int(p):
-            raise ParameterError(f"sample point {p!r} is not an integer")
+            raise ParameterError(f"sample point {_shown(p)} is not an integer")
         if not 1 <= p <= n:
-            raise ParameterError(f"sample point {p} outside 1..{n}")
+            raise ParameterError(f"sample point {_shown(p)} outside 1..{n}")
         mask |= 1 << (p - 1)
     return mask
 
@@ -75,11 +81,11 @@ class SampleSpace:
 
     def __post_init__(self) -> None:
         if not _is_int(self.n):
-            raise ParameterError(f"sample space size must be an integer, got {self.n!r}")
+            raise ParameterError(f"sample space size must be an integer, got {_shown(self.n)}")
         if self.n < 1:
-            raise ParameterError(f"sample space needs at least one point, got n={self.n}")
+            raise ParameterError(f"sample space needs at least one point, got n={_shown(self.n)}")
         if self.n > MAX_POINTS:
-            raise CapacityError(f"n={self.n} exceeds the {MAX_POINTS}-point bitmask limit")
+            raise CapacityError(f"n={_shown(self.n)} exceeds the {MAX_POINTS}-point bitmask limit")
 
     @property
     def full_mask(self) -> int:
@@ -107,7 +113,7 @@ class Event:
 
     def __post_init__(self) -> None:
         if not _is_int(self.mask):
-            raise ParameterError(f"event mask {self.mask!r} is not an integer")
+            raise ParameterError(f"event mask {_shown(self.mask)} is not an integer")
         if self.mask < 0 or self.mask > self.space.full_mask:
             raise ParameterError(
                 f"mask {self.mask:#x} has bits outside points 1..{self.space.n}"
@@ -177,7 +183,7 @@ class Family:
             if ev.space != self.space:
                 raise ValueError("all events of a family must share its sample space")
             if ev.mask in seen:
-                raise ParameterError(f"duplicate event {ev}")
+                raise ParameterError(f"duplicate event {_shown(list(ev.points()))}")
             seen.add(ev.mask)
 
     def __len__(self) -> int:
@@ -243,29 +249,35 @@ def family_to_dict(family: Family) -> dict[str, Any]:
     return {"n": family.space.n, "events": [list(ev.points()) for ev in family]}
 
 
-def family_from_dict(data: Any) -> Family:
+def _json_object(data: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
+    """The values of `keys` in the JSON object `data`, a `what` file."""
     if not isinstance(data, dict):
-        raise ParameterError("family JSON must be an object")
-    missing = {"n", "events"} - data.keys()
+        raise ParameterError(f"{what} JSON must be an object")
+    missing = set(keys) - data.keys()
     if missing:
-        raise ParameterError(f"family JSON is missing keys: {sorted(missing)}")
-    n = data["n"]
-    if not _is_int(n):
-        raise ParameterError('family JSON field "n" must be an integer')
-    raw_events = data["events"]
-    if not isinstance(raw_events, list):
-        raise ParameterError('family JSON field "events" must be a list of point lists')
-    if len(raw_events) > MAX_EVENTS:
-        raise CapacityError(
-            f"family has {len(raw_events)} events, above the {MAX_EVENTS}-event limit"
-        )
-    space = SampleSpace(n)
-    events = []
-    for item in raw_events:
+        raise ParameterError(f"{what} JSON is missing keys: {sorted(missing)}")
+    return [data[key] for key in keys]
+
+
+def _point_lists(data: Any, key: str, n: int, limit: int) -> list[int]:
+    """Masks on 1..n of the point lists in JSON field `key` ("events" or "blocks"),
+    whose count is refused past `limit` before any item is read."""
+    if not isinstance(data, list):
+        raise ParameterError(f'JSON field "{key}" must be a list of point lists')
+    if len(data) > limit:
+        raise CapacityError(f"{len(data)} {key} exceed the {limit}-{key[:-1]} limit")
+    masks = []
+    for item in data:
         if not isinstance(item, list):
-            raise ParameterError(f"event {item!r} is not a list of points")
+            raise ParameterError(f"{key[:-1]} {_shown(item)} is not a list of points")
         mask = points_to_mask(item, n)
         if mask.bit_count() != len(item):
-            raise ParameterError(f"event {item!r} repeats a sample point")
-        events.append(space.event_from_mask(mask))
-    return Family(space, tuple(events))
+            raise ParameterError(f"{key[:-1]} {_shown(item)} repeats a sample point")
+        masks.append(mask)
+    return masks
+
+
+def family_from_dict(data: Any) -> Family:
+    n, events = _json_object(data, "family", ("n", "events"))
+    SampleSpace(n)  # checks n before any point is read
+    return Family.from_masks(n, _point_lists(events, "events", n, MAX_EVENTS))

@@ -220,12 +220,31 @@ def test_corrupt_matrix_import(tmp_path, capsys):
     ["family", "from-hadamard", "--matrix"],
 ], ids="-".join)
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):
-    # json's decoder recurses per level and raises RecursionError, not a decode error
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    code, out, err = run(capsys, *argv, str(deep))
+    # json's decoder recurses per level and raises RecursionError, not a decode
+    # error; an integer past 4300 digits and undecodable bytes raise ValueErrors
+    bad = {"deep.json": b"[" * 100_000 + b"]" * 100_000, "digits.json": b"[" + b"9" * 5000 + b"]"}
+    if argv[-1] != "--matrix":  # a matrix file is decoded before its JSON check
+        bad["latin1.json"] = b"\xff"
+    for name, content in bad.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["family", "verify"], {"n": 4, "events": [[1] * 100_000]}),
+    (["design", "check"], {"v": 7, "k": 3, "lambda": 1, "blocks": [[1] * 100_000]}),
+    (["family", "gram"], {"n": 4, "events": [["x" * 100_000]]}),
+    (["family", "from-hadamard", "--matrix"], [["x" * 100_000]]),
+], ids=["repeated-point", "repeated-block-point", "long-point", "long-entry"])
+def test_a_bad_value_is_quoted_in_one_short_line(tmp_path, capsys, argv, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {deep} is not valid JSON: ") and err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
 def test_family_verify_names_failing_pairs(tmp_path, capsys):
@@ -366,6 +385,14 @@ def test_oversized_design_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "design", "check", str(design_file))
     assert code == 2
     assert "v=64" in err
+
+
+def test_oversized_family_file_exits_two(tmp_path, capsys):
+    family_file = tmp_path / "f64.json"
+    family_file.write_text(json.dumps({"n": 64, "events": [[1, 64]]}))
+    code, _, err = run(capsys, "family", "verify", str(family_file))
+    assert code == 2
+    assert "n=64" in err
 
 
 def test_oversized_block_list_exits_two(tmp_path, capsys):

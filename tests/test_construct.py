@@ -32,6 +32,7 @@ from pifam import (
     sylvester,
     sylvester_orders,
 )
+from pifam.construct import MAX_BLOCKS
 
 FANO_LINES = [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 6]]
 
@@ -278,6 +279,12 @@ def test_design_json_round_trip():
         {"v": 7, "k": 3, "lambda": "1", "blocks": []},
         {"v": 3, "k": 2, "lambda": 1, "blocks": [[1, 4]]},
         {"v": 3, "k": 2, "lambda": 1, "blocks": [[1, 1]]},
+        # v, k and lambda are checked before the blocks are counted or read
+        {"v": 0, "k": 0, "lambda": 0, "blocks": [[1]] * (MAX_BLOCKS + 1)},
+        {"v": 3, "k": 4, "lambda": 1, "blocks": [[0]]},
+        {"v": 3, "k": 2, "lambda": -1, "blocks": [[0]]},
+        {"v": 3, "k": 2, "lambda": 1, "blocks": {"1": [1, 2]}},
+        {"v": 3, "k": 2, "lambda": 1, "blocks": [[1, 2], 3]},
     ],
 )
 def test_design_from_dict_rejects_malformed(data):

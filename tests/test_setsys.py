@@ -20,6 +20,7 @@ from pifam import (
     probability,
     violations,
 )
+from pifam.setsys import MAX_EVENTS
 
 
 def test_sample_space_bounds():
@@ -178,6 +179,9 @@ def test_family_json_round_trip():
         {"n": 4, "events": [[1, 1]]},
         {"n": 4, "events": [3]},
         {"n": 4, "events": [[1], [1]]},
+        {"n": 4, "events": {"1": [1]}},
+        # n is checked before the events are counted, which would be CapacityError
+        {"n": 0, "events": [[1]] * (MAX_EVENTS + 1)},
     ],
 )
 def test_family_from_dict_rejects_malformed(data):
