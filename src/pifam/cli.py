@@ -142,15 +142,18 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
 def _matrix_from_args(args: argparse.Namespace) -> HadamardMatrix:
     if args.matrix is None:
         return hadamard_matrix(args.order)
-    text = args.matrix.read_text()
+    try:
+        text = args.matrix.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{args.matrix} is not a text file: {exc}") from exc
     if text.lstrip().startswith("["):
-        return hadamard_from_json(_load_json(args.matrix))
+        return hadamard_from_json(_load_json(args.matrix, text))
     return hadamard_from_text(text)
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, text: str | None = None):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text() if text is None else text)
     # ValueError: bad JSON or bytes, an int past 4300 digits; RecursionError: deep nesting
     except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc

@@ -32,11 +32,12 @@ from .setsys import (
     CertificateError,
     Family,
     ParameterError,
+    _g_witness,
     _is_int,
     _json_object,
+    _point_columns,
     _point_lists,
     _shown,
-    is_valid_g_family,
     mask_to_points,
 )
 
@@ -64,7 +65,7 @@ def _is_prime(m: int) -> bool:
 def _check_prime_below(q: Any, limit: int, capacity: str) -> None:
     """Refuse q >= limit with `capacity` before the trial division of q."""
     if not _is_int(q) or (q < limit and not _is_prime(q)):
-        raise ParameterError(f"q={q!r} is not prime (prime powers are not supported)")
+        raise ParameterError(f"q={_shown(q)} is not prime (prime powers are not supported)")
     if q >= limit:
         raise CapacityError(capacity)
 
@@ -113,9 +114,9 @@ class HadamardMatrix:
 def sylvester(k: int) -> HadamardMatrix:
     """Hadamard matrix of order 2^k by the doubling construction."""
     if not _is_int(k) or k < 0:
-        raise ParameterError(f"sylvester index must be a nonnegative integer, got {k!r}")
-    if 2**k > MAX_ORDER:
-        raise CapacityError(f"sylvester supports orders up to {MAX_ORDER} (k <= 6), got k={k}")
+        raise ParameterError(f"sylvester index must be a nonnegative integer, got {_shown(k)}")
+    if k > 6:  # 2^6 = MAX_ORDER; 2**k of a huge k would not fit in memory
+        raise CapacityError(f"sylvester supports orders up to {MAX_ORDER} (k <= 6), got k={_shown(k)}")
     rows: list[list[int]] = [[1]]
     for _ in range(k):
         rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
@@ -128,7 +129,7 @@ def paley1(q: int) -> HadamardMatrix:
     The quadratic-residue character on Z/q gives a skew conference
     matrix S (zero diagonal, all-ones border); H = I + S is Hadamard.
     """
-    _check_prime_below(q, MAX_ORDER, f"q={q!r} gives an order q+1 above the {MAX_ORDER} limit")
+    _check_prime_below(q, MAX_ORDER, f"q={_shown(q)} gives an order q+1 above the {MAX_ORDER} limit")
     if q % 4 != 3:
         raise ParameterError(f"q={q} is {q % 4} mod 4; the construction needs q = 3 mod 4")
     residues = {i * i % q for i in range(1, q)}
@@ -145,20 +146,20 @@ def paley1(q: int) -> HadamardMatrix:
     return HadamardMatrix(tuple(tuple(r) for r in rows))
 
 
-def sylvester_orders(limit: int = MAX_ORDER) -> list[int]:
-    return [2**k for k in range(7) if 2**k <= limit]
+def sylvester_orders() -> list[int]:
+    return [2**k for k in range(7)]
 
 
-def paley_orders(limit: int = MAX_ORDER) -> list[int]:
-    return [q + 1 for q in range(3, limit) if _is_prime(q) and q % 4 == 3 and q + 1 <= limit]
+def paley_orders() -> list[int]:
+    return [q + 1 for q in range(3, MAX_ORDER) if _is_prime(q) and q % 4 == 3]
 
 
 def hadamard_matrix(order: int, method: str = "auto") -> HadamardMatrix:
     """Hadamard matrix of the given order, from whichever generator covers it."""
     if method not in ("auto", "sylvester", "paley"):
-        raise ParameterError(f"unknown method {method!r}; use sylvester, paley, or auto")
+        raise ParameterError(f"unknown method {_shown(method)}; use sylvester, paley, or auto")
     if not _is_int(order):
-        raise ParameterError(f"Hadamard order must be an integer, got {order!r}")
+        raise ParameterError(f"Hadamard order must be an integer, got {_shown(order)}")
     if method in ("auto", "sylvester") and order in sylvester_orders():
         return sylvester(order.bit_length() - 1)
     if method in ("auto", "paley") and order in paley_orders():
@@ -167,7 +168,7 @@ def hadamard_matrix(order: int, method: str = "auto") -> HadamardMatrix:
     supported = tried[method] if method != "auto" else sorted(set(tried["sylvester"]) | set(tried["paley"]))
     raise CapacityError(
         f"no {'generator' if method == 'auto' else method + ' construction'} covers order "
-        f"{order}; supported orders: {supported}"
+        f"{_shown(order)}; supported orders: {supported}"
     )
 
 
@@ -281,19 +282,6 @@ class DesignCheck:
     first_violation: str | None
 
 
-def _point_columns(design: Design) -> list[int]:
-    """cols[p]: bitmask of the blocks containing point p + 1, bit j for block j.
-    Filled as bytearrays: OR-ing a bit into an int copies the whole int."""
-    cols = [bytearray((design.b + 7) // 8) for _ in range(design.v)]
-    for j, blk in enumerate(design.blocks):
-        byte, bit = j >> 3, 1 << (j & 7)
-        while blk:
-            low = blk & -blk
-            cols[low.bit_length() - 1][byte] |= bit
-            blk ^= low
-    return [int.from_bytes(col, "little") for col in cols]
-
-
 def check_design(design: Design) -> DesignCheck:
     first: str | None = None
     sizes_ok = True
@@ -304,7 +292,7 @@ def check_design(design: Design) -> DesignCheck:
             first = f"block {idx + 1} has size {got}, expected k={design.k}"
             break
     # the blocks that contain both p and q are exactly cols[p] & cols[q]
-    cols = _point_columns(design)
+    cols = _point_columns(design.blocks, design.v)
     pairs_ok = True
     for p, q in itertools.combinations(range(design.v), 2):
         cover = (cols[p] & cols[q]).bit_count()
@@ -372,14 +360,9 @@ def hadamard_family(h: HadamardMatrix) -> Family:
     """Maximum family of n pairwise-independent events on {1..n} from a
     Hadamard matrix of order n: each block of `_normal_blocks` plus the
     point n, then the full space."""
-    blocks = _normal_blocks(h)
-    n = h.order
-    top = 1 << (n - 1)
+    top = 1 << (h.order - 1)
     # from_masks refuses orders above 63, past the bitmask limit
-    family = Family.from_masks(n, [*(blk | top for blk in blocks), (1 << n) - 1])
-    if not is_valid_g_family(family):
-        raise CertificateError("Hadamard family failed the independence check")
-    return family
+    return _g_witness(h.order, [blk | top for blk in _normal_blocks(h)], "Hadamard family")
 
 
 def projective_plane(q: int) -> Design:
@@ -389,7 +372,7 @@ def projective_plane(q: int) -> Design:
     nonzero coordinate 1); point (x,y,z) lies on line [a,b,c] iff
     ax + by + cz = 0 mod q.
     """
-    _check_prime_below(q, 8, f"plane of order {q} has q^2+q+1 points, above the 63-point limit")
+    _check_prime_below(q, 8, f"plane of order {_shown(q)} has q^2+q+1 points, above the 63-point limit")
     v = q * q + q + 1
     triples = (
         [(1, y, z) for y in range(q) for z in range(q)]
@@ -414,9 +397,9 @@ def dualize_design(design: Design) -> Family:
     """Family of v+1 pairwise-independent events on {1..n}, n = r^2/lambda,
     from a 2-(v,k,lambda) design whose parameters admit such an n.
 
-    Point p maps to its column of `_point_columns`, the indices of the
-    blocks containing it; the dual events have size r and pairwise intersections lambda, and the
-    design identities guarantee b <= n, so they fit inside {1..n}.
+    Point p maps to its column of `setsys._point_columns`, the blocks that
+    contain it; the dual events have size r and meet pairwise in lambda points,
+    and the design identities guarantee b <= n, so they fit inside {1..n}.
     """
     report = check_design(design)
     if not report.ok:
@@ -428,13 +411,8 @@ def dualize_design(design: Design) -> Family:
         )
     if design.k < 2:
         raise ParameterError(f"dualization needs block size k >= 2, got k={design.k}")
-    r_num = design.lam * (design.v - 1)
-    if r_num % (design.k - 1) != 0:
-        raise ParameterError(
-            f"replication number r = lambda(v-1)/(k-1) = {design.lam}*{design.v - 1}/"
-            f"{design.k - 1} is not an integer"
-        )
-    r = r_num // (design.k - 1)
+    # the pairs through one point count r(k-1) = lambda(v-1): r is an integer
+    r = design.lam * (design.v - 1) // (design.k - 1)
     if (r * r) % design.lam != 0:
         raise ParameterError(
             f"r^2/lambda = {r}^2/{design.lam} is not an integer; no sample-space size n "
@@ -443,10 +421,8 @@ def dualize_design(design: Design) -> Family:
     n = r * r // design.lam
     if design.b > n:
         raise CertificateError("design identities guarantee at most n blocks")
-    # SampleSpace raises CapacityError above 63 points
-    family = Family.from_masks(n, [*_point_columns(design), (1 << n) - 1])
-    if any(ev.size != r for ev in family.events[:-1]):
+    cols = _point_columns(design.blocks, design.v)
+    if any(col.bit_count() != r for col in cols):
         raise CertificateError(f"a dual event does not have size r={r}")
-    if not is_valid_g_family(family):
-        raise CertificateError("dual family failed the independence check")
-    return family
+    # SampleSpace raises CapacityError above 63 points
+    return _g_witness(n, cols, "dual family")

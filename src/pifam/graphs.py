@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .setsys import CapacityError, ParameterError, SampleSpace, _is_int
+from .setsys import CapacityError, ParameterError, SampleSpace, _is_int, _point_columns, _shown
 
 MAX_VERTICES = 1 << 20
 
@@ -86,19 +86,14 @@ def _intersection_graph(
     """Adjacency rows over `cand`, x ~ y iff |x∩y| = meet(|x|, |y|).
 
     Bit-sliced counting: column p is the bitset of candidates holding
-    point p; adding the columns of x's points into binary counter slices
+    point p + 1; adding the columns of x's points into binary counter slices
     gives |x∩y| for every y at once, and matching the slices against the
     wanted count reads off x's row without testing any pair.
     """
-    cols: dict[int, int] = {}
+    cols = _point_columns(cand, max(cand, default=0).bit_length())
     sizes: dict[int, int] = {}
     for i, mask in enumerate(cand):
-        bit = 1 << i
-        sizes[mask.bit_count()] = sizes.get(mask.bit_count(), 0) | bit
-        while mask:
-            low = mask & -mask
-            cols[low] = cols.get(low, 0) | bit
-            mask ^= low
+        sizes[mask.bit_count()] = sizes.get(mask.bit_count(), 0) | 1 << i
     adj = []
     for i, x in enumerate(cand):
         slices: list[int] = []
@@ -106,7 +101,7 @@ def _intersection_graph(
         while rest:
             low = rest & -rest
             rest ^= low
-            carry = cols[low]
+            carry = cols[low.bit_length() - 1]
             for k, s in enumerate(slices):
                 slices[k] = s ^ carry
                 carry &= s
@@ -207,15 +202,15 @@ class JohnsonGraphOracle:
     def __post_init__(self) -> None:
         for name, value in ("n", self.n), ("r", self.r), ("s", self.s):
             if not _is_int(value):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+                raise ParameterError(f"{name} must be an integer, got {_shown(value)}")
         if not self.n > self.r > self.s >= 1:
-            raise ParameterError(f"need n > r > s >= 1, got ({self.n}, {self.r}, {self.s})")
+            raise ParameterError(f"need n > r > s >= 1, got {_shown((self.n, self.r, self.s))}")
         count = 1  # C(n, i + 1) rises up to i + 1 = min(r, n - r): stop past the limit
         for i in range(min(self.r, self.n - self.r)):
             count = count * (self.n - i) // (i + 1)
             if count > MAX_VERTICES:
                 raise CapacityError(
-                    f"C({self.n},{self.r}) vertices exceed the {MAX_VERTICES} limit"
+                    f"C({_shown(self.n)},{_shown(self.r)}) vertices exceed the {MAX_VERTICES} limit"
                 )
 
     def contains_vertex(self, mask: int) -> bool:

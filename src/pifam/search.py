@@ -26,9 +26,11 @@ from .setsys import (
     Family,
     ParameterError,
     SampleSpace,
+    _g_witness,
     _is_int,
-    is_valid_g_family,
+    _shown,
     mask_to_points,
+    points_to_mask,
 )
 
 SEARCH_MAX_N = 16     # exhaustive g/f search capacity
@@ -193,11 +195,8 @@ def _try_hadamard_family(n: int) -> Family | None:
 
 def _divisor_family(n: int, primes: list[int]) -> Family:
     """The events M_p = {j <= n : p | j}, one per prime p, then the full space."""
-    masks = [sum(1 << (j - 1) for j in range(p, n + 1, p)) for p in primes]
-    family = Family.from_masks(n, [*masks, (1 << n) - 1])
-    if not is_valid_g_family(family):
-        raise CertificateError(f"divisor family of n={n} failed the independence check")
-    return family
+    masks = [points_to_mask(range(p, n + 1, p), n) for p in primes]
+    return _g_witness(n, masks, f"divisor family of n={n}")
 
 
 def g_exact(n: int, method: str = "auto") -> CliqueResult:
@@ -224,7 +223,7 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
     "construction-plus-size-bound".
     """
     if method not in ("auto", "search", "construct"):
-        raise ParameterError(f"unknown method {method!r}; use search, construct, or auto")
+        raise ParameterError(f"unknown method {_shown(method)}; use search, construct, or auto")
     space = SampleSpace(n)
     primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
     squarefree = math.prod(primes) == n
@@ -333,9 +332,9 @@ def conjecture_sweep(n_max: int) -> list[SweepRow]:
     CapacityError) is OPEN, never guessed.
     """
     if not _is_int(n_max) or n_max < 1:
-        raise ParameterError(f"n_max must be a positive integer, got {n_max!r}")
+        raise ParameterError(f"n_max must be a positive integer, got {_shown(n_max)}")
     if n_max > 64:
-        raise ParameterError(f"the sweep is capped at n_max <= 64, got {n_max}")
+        raise ParameterError(f"the sweep is capped at n_max <= 64, got {_shown(n_max)}")
     rows = []
     for n in range(4, n_max + 1, 4):
         try:

@@ -13,7 +13,7 @@ import itertools
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 
 class PifamError(Exception):
@@ -149,7 +149,7 @@ class Event:
 
 def _require_same_space(a: Event, b: Event) -> None:
     if a.space != b.space:
-        raise ValueError(
+        raise ParameterError(
             f"events live on different sample spaces (n={a.space.n} vs n={b.space.n})"
         )
 
@@ -181,7 +181,7 @@ class Family:
         seen: set[int] = set()
         for ev in self.events:
             if ev.space != self.space:
-                raise ValueError("all events of a family must share its sample space")
+                raise ParameterError("all events of a family must share its sample space")
             if ev.mask in seen:
                 raise ParameterError(f"duplicate event {_shown(list(ev.points()))}")
             seen.add(ev.mask)
@@ -242,6 +242,28 @@ def is_valid_g_family(family: Family) -> bool:
     independent events satisfy |A intersect B| = |A||B|/n > 0.
     """
     return not any(violations(family))
+
+
+def _g_witness(n: int, proper: Iterable[int], what: str) -> Family:
+    """The family of the `proper` masks and then the full space on {1..n},
+    a witness certified by `is_valid_g_family`; `what` names it if it fails."""
+    family = Family.from_masks(n, [*proper, (1 << n) - 1])
+    if not is_valid_g_family(family):
+        raise CertificateError(f"{what} failed the independence check")
+    return family
+
+
+def _point_columns(masks: Sequence[int], n: int) -> list[int]:
+    """cols[p]: bitmask of the masks that hold point p + 1, bit j for masks[j].
+    Filled as bytearrays: OR-ing a bit into an int copies the whole int."""
+    cols = [bytearray((len(masks) + 7) // 8) for _ in range(n)]
+    for j, mask in enumerate(masks):
+        byte, bit = j >> 3, 1 << (j & 7)
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1][byte] |= bit
+            mask ^= low
+    return [int.from_bytes(col, "little") for col in cols]
 
 
 def family_to_dict(family: Family) -> dict[str, Any]:

@@ -210,6 +210,11 @@ def test_corrupt_matrix_import(tmp_path, capsys):
     code, _, err = run(capsys, "family", "from-hadamard", "--matrix", str(json_file))
     assert code == 1
     assert err.startswith(f"error: {json_file} is not valid JSON: ")
+    for content in b"[\xff]", b"+\xff":  # not UTF-8, as JSON or as matrix text
+        matrix_file.write_bytes(content)
+        code, out, err = run(capsys, "family", "from-hadamard", "--matrix", str(matrix_file))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {matrix_file} ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -231,6 +236,18 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hadamard", "--order"], 2),
+    (["johnson", "--r", "3", "--s", "1", "--n"], 2),
+    (["conjecture", "--max"], 1),
+    (["design", "projective-plane", "--q"], 2),
+], ids=["order", "johnson-n", "sweep-max", "plane-q"])
+def test_a_huge_command_line_value_is_quoted_in_one_short_line(capsys, argv, code):
+    got, out, err = run(capsys, *argv, "9" * 4000)
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -56,6 +56,8 @@ def test_sylvester_examples():
     assert sylvester(2).order == 4  # orthogonality checked at construction
     with pytest.raises(CapacityError):
         sylvester(7)
+    with pytest.raises(CapacityError, match=r"got k=1000.*\.\.\..*0000$"):
+        sylvester(10**100)  # refused before 2**k is formed, quoted in short
     with pytest.raises(ParameterError):
         sylvester(-1)
 
@@ -325,7 +327,7 @@ def test_integer_parameters_refuse_floats_and_bools(call):
 
 def test_failed_certificates_raise(monkeypatch):
     # explicit raises, not asserts, so they hold under python -O as well
-    monkeypatch.setattr(pifam.construct, "is_valid_g_family", lambda family: False)
+    monkeypatch.setattr(pifam.setsys, "is_valid_g_family", lambda family: False)
     with pytest.raises(CertificateError, match="independence check"):
         hadamard_family(hadamard_matrix(8))
     with pytest.raises(CertificateError, match="independence check"):

@@ -147,7 +147,7 @@ def test_family_json_round_trip(family):
     assert family_from_dict(json.loads(json.dumps(data))) == family
 
 
-HADAMARD_ORDERS = sorted(n for n in set(sylvester_orders(60)) | set(paley_orders(60)) if n >= 4)
+HADAMARD_ORDERS = sorted(n for n in set(sylvester_orders()) | set(paley_orders()) if 4 <= n <= 60)
 
 
 @st.composite
@@ -216,7 +216,7 @@ def test_design_check_matches_the_pairwise_loop(design):
 
 
 GENERATOR_MATRICES = [sylvester(k) for k in range(2, 6)] + [
-    paley1(n - 1) for n in paley_orders(60) if n >= 4]
+    paley1(n - 1) for n in paley_orders() if 4 <= n <= 60]
 
 
 @PROPERTY

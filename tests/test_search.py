@@ -112,6 +112,22 @@ def test_no_assert_in_package_source():
         assert not asserts, f"{path.name} has assert statements at lines {asserts}"
 
 
+def test_no_unused_import_in_package_source():
+    # no linter runs in CI; __init__.py imports only to re-export
+    src = Path(pifam.__file__).resolve().parent
+    for path in sorted(set(src.glob("*.py")) - {src / "__init__.py"}):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
 def test_max_clique_seed_and_bound():
     oracle = PowerSetGraphOracle(SampleSpace(4))
     seed = hadamard_family(hadamard_matrix(4)).masks()
@@ -489,7 +505,7 @@ def test_construction_witness_pairs_are_checked_once(monkeypatch):
         adjacent_calls.append((a, b))
         return adjacent(self, a, b)
 
-    for module in (pifam.setsys, pifam.construct, pifam.search, pifam.exactlin):
+    for module in (pifam.setsys, pifam.exactlin):
         monkeypatch.setattr(module, "is_valid_g_family", counted_valid)
     monkeypatch.setattr(PowerSetGraphOracle, "adjacent", counted_adjacent)
     result = g_exact(12, "construct")

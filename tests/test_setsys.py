@@ -9,6 +9,7 @@ from pifam import (
     CapacityError,
     Family,
     ParameterError,
+    PifamError,
     SampleSpace,
     family_from_dict,
     family_to_dict,
@@ -135,6 +136,14 @@ def test_family_rejects_duplicates_and_mixed_spaces():
         Family(space, (space.event([1]), space.event([1])))
     with pytest.raises(ValueError):
         Family(space, (space.event([1]), SampleSpace(4).event([1])))
+
+
+def test_events_from_two_spaces_are_a_pifam_error():
+    # a library caller catches every input error as PifamError
+    a, b = SampleSpace(4).event([1]), SampleSpace(5).event([1])
+    for call in (lambda: is_independent(a, b), lambda: a & b, lambda: Family(a.space, (a, b))):
+        with pytest.raises(PifamError, match="sample space"):
+            call()
 
 
 def test_family_set_equality_keeps_order():
