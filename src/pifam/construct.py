@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 from .setsys import (
     MAX_POINTS,
@@ -282,44 +282,41 @@ class DesignCheck:
     first_violation: str | None
 
 
+def _unequal_meet(masks: Sequence[int], lam: int) -> tuple[int, int, int] | None:
+    """First pair i < j of masks whose AND has count != lam bits, as (i + 1, j + 1, count)."""
+    for (i, a), (j, b) in itertools.combinations(enumerate(masks, 1), 2):
+        count = (a & b).bit_count()
+        if count != lam:
+            return i, j, count
+    return None
+
+
 def check_design(design: Design) -> DesignCheck:
-    first: str | None = None
-    sizes_ok = True
-    for idx, blk in enumerate(design.blocks):
-        got = blk.bit_count()
-        if got != design.k:
-            sizes_ok = False
-            first = f"block {idx + 1} has size {got}, expected k={design.k}"
-            break
-    # the blocks that contain both p and q are exactly cols[p] & cols[q]
-    cols = _point_columns(design.blocks, design.v)
-    pairs_ok = True
-    for p, q in itertools.combinations(range(design.v), 2):
-        cover = (cols[p] & cols[q]).bit_count()
-        if cover != design.lam:
-            pairs_ok = False
-            if first is None:
-                first = (
-                    f"pair {{{p + 1},{q + 1}}} lies in {cover} blocks, "
-                    f"expected lambda={design.lam}"
-                )
-            break
+    k, lam = design.k, design.lam
+    size = next((i for i, blk in enumerate(design.blocks, 1) if blk.bit_count() != k), None)
+    # the blocks that contain both points p and q are exactly cols[p] & cols[q]
+    pair = _unequal_meet(_point_columns(design.blocks, design.v), lam)
     symmetric = design.b == design.v
-    inter_ok: bool | None = None
-    if symmetric:
-        inter_ok = True
-        for (i, bi), (j, bj) in itertools.combinations(enumerate(design.blocks), 2):
-            got = (bi & bj).bit_count()
-            if got != design.lam:
-                inter_ok = False
-                if first is None:
-                    first = (
-                        f"blocks {i + 1} and {j + 1} meet in {got} points, "
-                        f"expected lambda={design.lam}"
-                    )
-                break
-    ok = sizes_ok and pairs_ok and inter_ok is not False
-    return DesignCheck(ok, symmetric, sizes_ok, pairs_ok, inter_ok, first)
+    meet = _unequal_meet(design.blocks, lam) if symmetric else None
+    if size is not None:
+        first = f"block {size} has size {design.blocks[size - 1].bit_count()}, expected k={k}"
+    elif pair is not None:
+        first = f"pair {{{pair[0]},{pair[1]}}} lies in {pair[2]} blocks, expected lambda={lam}"
+    elif meet is not None:
+        first = f"blocks {meet[0]} and {meet[1]} meet in {meet[2]} points, expected lambda={lam}"
+    else:
+        first = None
+    return DesignCheck(first is None, symmetric, size is None, pair is None,
+                       meet is None if symmetric else None, first)
+
+
+def _symmetric_design(v: int, k: int, lam: int, blocks: list[int], what: str) -> Design:
+    """The 2-(v,k,lam) design on `blocks`, certified by check_design as symmetric."""
+    design = Design(v, k, lam, tuple(blocks))
+    report = check_design(design)
+    if not (report.ok and report.symmetric):
+        raise CertificateError(f"{what} failed the design axioms")
+    return design
 
 
 def _normal_blocks(h: HadamardMatrix) -> list[int]:
@@ -347,13 +344,9 @@ def _normal_blocks(h: HadamardMatrix) -> list[int]:
 def hadamard_to_design(h: HadamardMatrix) -> Design:
     """Symmetric 2-(n-1, n/2-1, n/4-1) design from a Hadamard matrix of order n:
     the blocks of `_normal_blocks` over the points 1..n-1."""
-    blocks = _normal_blocks(h)
     n = h.order
-    design = Design(n - 1, n // 2 - 1, n // 4 - 1, tuple(blocks))
-    report = check_design(design)
-    if not (report.ok and report.symmetric):
-        raise CertificateError("Hadamard-derived design failed its axioms")
-    return design
+    return _symmetric_design(n - 1, n // 2 - 1, n // 4 - 1, _normal_blocks(h),
+                             "Hadamard-derived design")
 
 
 def hadamard_family(h: HadamardMatrix) -> Family:
@@ -386,11 +379,7 @@ def projective_plane(q: int) -> Design:
             if (a * x + b * y + c * z) % q == 0:
                 mask |= 1 << idx
         blocks.append(mask)
-    design = Design(v, q + 1, 1, tuple(blocks))
-    report = check_design(design)
-    if not (report.ok and report.symmetric):
-        raise CertificateError("projective plane failed the design axioms")
-    return design
+    return _symmetric_design(v, q + 1, 1, blocks, "projective plane")
 
 
 def dualize_design(design: Design) -> Family:
@@ -409,8 +398,9 @@ def dualize_design(design: Design) -> Family:
             "dualization needs lambda >= 1 (with lambda=0 the target n = r^2/lambda "
             "is undefined)"
         )
-    if design.k < 2:
-        raise ParameterError(f"dualization needs block size k >= 2, got k={design.k}")
+    # with k = v every dual event would be the whole space {1..n}
+    if not 2 <= design.k < design.v:
+        raise ParameterError(f"dualization needs 2 <= k < v, got k={design.k}, v={design.v}")
     # the pairs through one point count r(k-1) = lambda(v-1): r is an integer
     r = design.lam * (design.v - 1) // (design.k - 1)
     if (r * r) % design.lam != 0:

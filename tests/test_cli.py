@@ -118,6 +118,18 @@ def test_design_check_catches_corruption(tmp_path, capsys):
     assert "FAIL" in out and "pair {2,3}" in out
 
 
+def test_design_check_reports_unequal_block_meets(tmp_path, capsys):
+    # sizes and the pair {1,2} pass, but the two blocks meet in a point
+    design_file = tmp_path / "meets.json"
+    design_file.write_text(json.dumps({"v": 2, "k": 1, "lambda": 0, "blocks": [[1], [1]]}))
+    code, out, _ = run(capsys, "design", "check", str(design_file))
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "pairwise block intersections: NOT all equal lambda",
+        "FAIL: blocks 1 and 2 meet in 1 points, expected lambda=0",
+    ]
+
+
 def test_design_check_malformed_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -175,6 +187,18 @@ def test_family_from_design_hypothesis_failure(tmp_path, capsys):
     code, _, err = run(capsys, "family", "from-design", str(design_file))
     assert code == 1
     assert "r^2/lambda = 3^2/2" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"v": 3, "k": 3, "lambda": 2, "blocks": [[1, 2, 3], [1, 2, 3]]},
+    {"v": 2, "k": 2, "lambda": 1, "blocks": [[1, 2]]},
+])
+def test_family_from_design_refuses_a_trivial_design(tmp_path, capsys, data):
+    design_file = tmp_path / "trivial.json"
+    design_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "family", "from-design", str(design_file))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "2 <= k < v" in err
 
 
 def test_family_from_hadamard_and_matrix_import(tmp_path, capsys):

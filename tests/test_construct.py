@@ -254,6 +254,15 @@ def test_dualize_complete_pair_design():
     assert is_valid_g_family(fam)
 
 
+@pytest.mark.parametrize("v, k, lam, blocks", [(3, 3, 2, [[1, 2, 3]] * 2), (2, 2, 1, [[1, 2]])])
+def test_dualize_refuses_a_trivial_design(v, k, lam, blocks):
+    # every point lies in every block, so every dual event would be the whole space
+    design = design_from_dict({"v": v, "k": k, "lambda": lam, "blocks": blocks})
+    assert check_design(design).ok
+    with pytest.raises(ParameterError, match=f"^dualization needs 2 <= k < v, got k={k}, v={v}$"):
+        dualize_design(design)
+
+
 def test_dualize_rejects_invalid_design():
     bad = design_from_dict({"v": 3, "k": 2, "lambda": 1, "blocks": [[1, 2], [1, 3]]})
     with pytest.raises(ParameterError, match="not a valid 2-design"):

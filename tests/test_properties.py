@@ -215,6 +215,19 @@ def test_design_check_matches_the_pairwise_loop(design):
     assert astuple(check_design(design)) == want
 
 
+def test_design_check_matches_the_pairwise_loop_on_every_small_design():
+    # every block list with v <= 3, b <= 3, k <= v and lambda <= 2; by Ryser's
+    # theorem only k <= 1 gets past sizes and pairs to unequal block meets
+    meets = 0
+    for v in range(1, 4):
+        for k, lam, b in itertools.product(range(v + 1), range(3), range(4)):
+            for blocks in itertools.product(range(1 << v), repeat=b):
+                got = astuple(check_design(Design(v, k, lam, blocks)))
+                assert got == design_check_fields(v, k, lam, blocks), (v, k, lam, blocks)
+                meets += (got[5] or "").startswith("blocks ")
+    assert meets == 23
+
+
 GENERATOR_MATRICES = [sylvester(k) for k in range(2, 6)] + [
     paley1(n - 1) for n in paley_orders() if 4 <= n <= 60]
 
