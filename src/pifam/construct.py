@@ -292,10 +292,15 @@ def _unequal_meet(masks: Sequence[int], lam: int) -> tuple[int, int, int] | None
 
 
 def check_design(design: Design) -> DesignCheck:
+    return _check_design(design, _point_columns(design.blocks, design.v))
+
+
+def _check_design(design: Design, cols: list[int]) -> DesignCheck:
+    """`check_design` given the design's point columns from `setsys._point_columns`."""
     k, lam = design.k, design.lam
     size = next((i for i, blk in enumerate(design.blocks, 1) if blk.bit_count() != k), None)
     # the blocks that contain both points p and q are exactly cols[p] & cols[q]
-    pair = _unequal_meet(_point_columns(design.blocks, design.v), lam)
+    pair = _unequal_meet(cols, lam)
     symmetric = design.b == design.v
     meet = _unequal_meet(design.blocks, lam) if symmetric else None
     if size is not None:
@@ -390,7 +395,8 @@ def dualize_design(design: Design) -> Family:
     contain it; the dual events have size r and meet pairwise in lambda points,
     and the design identities guarantee b <= n, so they fit inside {1..n}.
     """
-    report = check_design(design)
+    cols = _point_columns(design.blocks, design.v)
+    report = _check_design(design, cols)
     if not report.ok:
         raise ParameterError(f"not a valid 2-design: {report.first_violation}")
     if design.lam < 1:
@@ -411,7 +417,6 @@ def dualize_design(design: Design) -> Family:
     n = r * r // design.lam
     if design.b > n:
         raise CertificateError("design identities guarantee at most n blocks")
-    cols = _point_columns(design.blocks, design.v)
     if any(col.bit_count() != r for col in cols):
         raise CertificateError(f"a dual event does not have size r={r}")
     # SampleSpace raises CapacityError above 63 points

@@ -4,10 +4,11 @@ An oracle defines a graph on events, stored as point bitmasks, and its
 adjacency, and names its roots: forced clique prefixes, one per orbit of
 a symmetry group of the graph, such that some maximum clique is the
 image of a clique through some root.  The proofs are in the docstrings of
-the oracles' `roots`.  `build_graph(root)` builds only that root's
-candidate graph: vertices adjacent to the whole prefix, generated
-directly by intersection size, with adjacency rows from bit-sliced
-intersection counts, in reverse degeneracy order.
+the oracles' `roots`.  `candidates(root)` generates that root's
+candidates, the vertices adjacent to the whole prefix, directly by
+intersection size; `build_graph(root)` builds only their graph, with
+adjacency rows from bit-sliced intersection counts, in reverse degeneracy
+order.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class PowerSetGraphOracle:
           that misses point n with its complement.  The image is a clique
           of |K| events through Ω and v_a whose proper events all contain n.
         So g = 2 + max over a of ω(the events containing n that are
-        independent of v_a), the graphs `build_graph` generates, or 1 when
+        independent of v_a), the graphs on `candidates`, or 1 when
         n = 1.  Balanced sizes come first, where the Hadamard-type maxima
         live, so the incumbent grows early.
         """
@@ -166,25 +167,27 @@ class PowerSetGraphOracle:
         top = 1 << (n - 1)
         return [(full, top | (1 << (a - 1)) - 1) for a in range(n // 2, 0, -1)] or [(full,)]
 
-    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
-        """The whole graph for an empty prefix, else the candidate graph of
-        a root from `roots()`: with v its last event, the events containing
-        point n of each size b with n | |v|b, made of w - 1 points of
-        v - {n} and b - w points outside v, where w = |v|b/n."""
+    def candidates(self, prefix: tuple[int, ...] = ()) -> Iterator[int]:
+        """Every vertex for an empty prefix, else the candidates of a root
+        from `roots()`: with v its last event, the events containing point
+        n of each size b with n | |v|b, made of w - 1 points of v - {n} and
+        b - w points outside v, where w = |v|b/n."""
         n = self.space.n
         if 1 << n > MAX_VERTICES:
             raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
         full = self.space.full_mask
         if not prefix:
-            cand = list(range(1, full + 1))
-        else:
-            v, top = prefix[-1], 1 << (n - 1)
-            cand = []
-            for b in range(1, n):
-                w = self._meet(v.bit_count(), b)
-                if w is not None:
-                    cand += [top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w)]
-        return _ordered(cand, self._meet)
+            yield from range(1, full + 1)
+            return
+        v, top = prefix[-1], 1 << (n - 1)
+        for b in range(1, n):
+            w = self._meet(v.bit_count(), b)
+            if w is not None:
+                yield from (top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w))
+
+    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
+        """The graph on `candidates(prefix)`."""
+        return _ordered(list(self.candidates(prefix)), self._meet)
 
 
 @dataclass(frozen=True)
@@ -244,18 +247,19 @@ class JohnsonGraphOracle:
             return [(v0,)]
         return [(v0, (1 << self.s) - 1 | ((1 << (self.r - self.s)) - 1) << self.r)]
 
-    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
-        """The whole graph for an empty prefix, else the common neighbours
-        of the prefix: the r-sets with s points inside its first set and
-        r - s outside, kept when they meet every other prefix set in s."""
+    def candidates(self, prefix: tuple[int, ...] = ()) -> Iterator[int]:
+        """Every vertex for an empty prefix, else the common neighbours of
+        the prefix: the r-sets with s points inside its first set and r - s
+        outside, kept when they meet every other prefix set in s."""
         full = (1 << self.n) - 1
-        if prefix:
-            v, rest = prefix[0], prefix[1:]
-            cand = [
-                m for m in _choose(v, self.s, full ^ v, self.r - self.s)
-                if all((m & u).bit_count() == self.s for u in rest)
-            ]
-        else:
-            cand = list(_choose(0, 0, full, self.r))
-        return _ordered(cand, lambda a, b: self.s)
+        if not prefix:
+            yield from _choose(0, 0, full, self.r)
+            return
+        v, rest = prefix[0], prefix[1:]
+        for m in _choose(v, self.s, full ^ v, self.r - self.s):
+            if all((m & u).bit_count() == self.s for u in rest):
+                yield m
 
+    def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
+        """The graph on `candidates(prefix)`."""
+        return _ordered(list(self.candidates(prefix)), lambda a, b: self.s)

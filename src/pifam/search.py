@@ -137,6 +137,12 @@ def max_clique(
     The returned witness is re-verified through the oracle before
     returning, independently of the search internals; a seed witness was
     already checked pair by pair on the way in.
+
+    A root that meets the bound by itself builds nothing.  A root one
+    event short of the bound takes the first of `oracle.candidates(root)`
+    as its one node and builds no graph: every candidate is adjacent to
+    every event of its root by construction, so the root plus any one
+    candidate is a clique of the bound's size.
     """
     seed = tuple(seed_clique) if seed_clique else ()
     if len(set(seed)) != len(seed):
@@ -168,11 +174,18 @@ def max_clique(
     if met(len(best)):
         return finish("bound-met-by-seed")
     for root in oracle.roots():
-        graph = oracle.build_graph(root)
         base = list(root)
         if len(base) > len(best):
             best = base
-        if graph.cand and not met(len(best)):
+        if met(len(best)):
+            return finish("bound-met-by-search")
+        if upper_bound == len(base) + 1:
+            first = next(oracle.candidates(root), None)
+            if first is not None:
+                nodes += 1
+                best = base + [first]
+        else:
+            graph = oracle.build_graph(root)
             cap = None if upper_bound is None else upper_bound - len(base)
             size, bits, used = _branch_and_bound(graph.adj, len(best) - len(base), cap)
             nodes += used

@@ -230,6 +230,22 @@ def test_dualize_plane_of_order_3():
     assert is_valid_g_family(fam)
 
 
+def test_dualize_transposes_the_blocks_once(monkeypatch):
+    # the axiom check and the dual events share one set of point columns
+    plane = projective_plane(5)
+    calls = []
+    point_columns = pifam.construct._point_columns
+
+    def counted(masks, n):
+        calls.append(n)
+        return point_columns(masks, n)
+
+    monkeypatch.setattr(pifam.construct, "_point_columns", counted)
+    fam = dualize_design(plane)
+    assert calls == [31]
+    assert fam.space.n == 36 and len(fam) == 32
+
+
 def test_dualize_rejects_lambda_zero():
     design = hadamard_to_design(sylvester(2))  # 2-(3,1,0)
     with pytest.raises(ParameterError):

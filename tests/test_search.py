@@ -221,6 +221,64 @@ def test_squarefree_search_stops_at_the_size_quotient_bound(n):
         assert result.nodes_explored == 1
 
 
+def refused(self, *args):
+    raise AssertionError(f"{type(self).__name__} generated what the bound made needless")
+
+
+@pytest.mark.parametrize("n", [6, 10, 14, 15])
+def test_squarefree_search_takes_the_first_candidate_without_a_graph(monkeypatch, n):
+    # the root (Ω, v_a) is one event short of 1 + ν(n) = 3
+    monkeypatch.setattr(PowerSetGraphOracle, "build_graph", refused)
+    result = g_exact(n, "search")
+    assert (result.size, result.optimal, result.nodes_explored) == (1 + len(primes_of(n)), True, 1)
+    assert is_valid_g_family(Family.from_masks(n, result.witness))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_prime_search_root_meets_the_bound_alone(monkeypatch, n):
+    for name in ("build_graph", "candidates"):
+        monkeypatch.setattr(PowerSetGraphOracle, name, refused)
+    result = g_exact(n, "search")
+    assert (result.size, result.optimal, result.nodes_explored) == (2, True, 0)
+    assert is_valid_g_family(Family.from_masks(n, result.witness))
+
+
+def test_johnson_root_one_short_of_the_bound_takes_the_first_candidate(monkeypatch):
+    # johnson_omega meets a residual bound of 1 only through a seed, so call
+    # max_clique directly: the edge root of J(4, 2) with s = 1 has two events
+    monkeypatch.setattr(JohnsonGraphOracle, "build_graph", refused)
+    oracle = JohnsonGraphOracle(4, 2, 1)
+    result = max_clique(oracle, upper_bound=3)
+    assert result.size == brute_johnson_omega(4, 2, 1) == 3
+    assert (result.optimal, result.nodes_explored, result.method) == (True, 1, "bound-met-by-search")
+    assert result.witness == (*oracle.roots()[0], next(oracle.candidates(oracle.roots()[0])))
+
+
+@pytest.mark.parametrize("oracle, roots", [
+    (PowerSetGraphOracle(SampleSpace(6)), None),
+    (PowerSetGraphOracle(SampleSpace(9)), None),
+    (PowerSetGraphOracle(SampleSpace(4)), [()]),
+    (JohnsonGraphOracle(8, 4, 2), None),
+    (JohnsonGraphOracle(9, 3, 1), [(0b111,), ()]),
+])
+def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
+    # build_graph reorders exactly what candidates generates, and every
+    # candidate is adjacent to every event of its root
+    unordered = []
+    ordered = pifam.graphs._ordered
+
+    def recorded(cand, meet):
+        unordered.append(list(cand))
+        return ordered(cand, meet)
+
+    monkeypatch.setattr(pifam.graphs, "_ordered", recorded)
+    for root in roots or oracle.roots():
+        cand = list(oracle.candidates(root))
+        graph = oracle.build_graph(root)
+        assert unordered.pop() == cand and sorted(graph.cand) == sorted(cand)
+        assert all(oracle.adjacent(c, u) for c in cand for u in root)
+
+
 @pytest.mark.parametrize("n", SQUAREFREE)
 def test_auto_certifies_squarefree_n_by_the_divisor_family(n):
     result = g_exact(n)
