@@ -154,9 +154,10 @@ def _matrix_from_args(args: argparse.Namespace) -> HadamardMatrix:
 def _load_json(path: Path, text: str | None = None):
     try:
         return json.loads(path.read_text() if text is None else text)
-    # ValueError: bad JSON or bytes, an int past 4300 digits; RecursionError: deep nesting
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an int past the digit limit: Python's own message takes 130 bytes
+        raise ParameterError(f"{path} is not valid JSON: an integer has too many digits") from exc
 
 
 def _emit(text: str, out: Path | None) -> None:

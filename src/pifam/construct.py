@@ -23,8 +23,7 @@ pair of points as the popcount of the AND of the two points' block masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .setsys import (
     MAX_POINTS,
@@ -32,6 +31,7 @@ from .setsys import (
     CertificateError,
     Family,
     ParameterError,
+    _checked,
     _g_witness,
     _is_int,
     _json_object,
@@ -70,21 +70,19 @@ def _check_prime_below(q: Any, limit: int, capacity: str) -> None:
         raise CapacityError(capacity)
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
-    """Square +1/-1 matrix H with H H^T = nI, checked at construction."""
+class HadamardMatrix(_checked("HadamardMatrix", "rows plus")):
+    """Square +1/-1 matrix H with H H^T = nI, checked at construction; plus[i],
+    derived from the rows, masks the columns where row i is +1 (bit c for column c)."""
 
-    rows: tuple[tuple[int, ...], ...]
-    # plus[i]: bitmask of the columns where row i is +1, bit c for column c
-    plus: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        n = len(self.rows)
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> HadamardMatrix:
+        rows = tuple(tuple(row) for row in rows)
+        n = len(rows)
         if n == 0:
             raise ParameterError("a Hadamard matrix has at least one row")
         plus = []
-        for row in self.rows:
+        for row in rows:
             if len(row) != n:
                 raise ParameterError(f"matrix is not square: {n} rows, a row of {len(row)}")
             mask = 0
@@ -104,7 +102,10 @@ class HadamardMatrix:
                         f"rows {i + 1} and {j + 1} have inner product {dot}; "
                         f"H H^T = {n}I fails"
                     )
-        object.__setattr__(self, "plus", tuple(plus))
+        return tuple.__new__(cls, (rows, tuple(plus)))
+
+    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))  # plus is derived: rows alone
+    __getnewargs__ = lambda self: (self.rows,)  # noqa: E731 -- copy and pickle, likewise
 
     @property
     def order(self) -> int:
@@ -211,8 +212,7 @@ def hadamard_from_json(data: Any) -> HadamardMatrix:
     return HadamardMatrix(tuple(tuple(row) for row in data))
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(_checked("Design", "v k lam blocks")):
     """2-(v,k,lambda) block design; blocks are bitmasks over points {1..v}.
 
     The constructor checks only shapes and ranges; the design axioms are
@@ -220,32 +220,28 @@ class Design:
     afterwards.
     """
 
-    v: int
-    k: int
-    lam: int
-    blocks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for name, value in ("v", self.v), ("k", self.k), ("lambda", self.lam):
+    def __new__(cls, v: int, k: int, lam: int, blocks: Sequence[int]) -> Design:
+        blocks = tuple(blocks)
+        for name, value in ("v", v), ("k", k), ("lambda", lam):
             if not _is_int(value):
-                raise ParameterError(
-                    f"design parameter {name} must be an integer, got {_shown(value)}")
-        if self.v < 1:
-            raise ParameterError(f"a design needs at least one point, got v={_shown(self.v)}")
-        if self.v > MAX_POINTS:  # before the 2^v - 1 mask below
-            raise CapacityError(
-                f"design has v={_shown(self.v)} points, above the {MAX_POINTS}-point limit")
-        if not 0 <= self.k <= self.v:
-            raise ParameterError(f"block size k={_shown(self.k)} outside 0..v={self.v}")
-        if self.lam < 0:
-            raise ParameterError(f"lambda={_shown(self.lam)} must be nonnegative")
-        full = (1 << self.v) - 1
-        for idx, blk in enumerate(self.blocks):
+                raise ParameterError(f"design parameter {name} must be an integer, got {_shown(value)}")
+        if v < 1:
+            raise ParameterError(f"a design needs at least one point, got v={_shown(v)}")
+        if v > MAX_POINTS:  # before the 2^v - 1 mask below
+            raise CapacityError(f"design has v={_shown(v)} points, above the {MAX_POINTS}-point limit")
+        if not 0 <= k <= v:
+            raise ParameterError(f"block size k={_shown(k)} outside 0..v={v}")
+        if lam < 0:
+            raise ParameterError(f"lambda={_shown(lam)} must be nonnegative")
+        full = (1 << v) - 1
+        for idx, blk in enumerate(blocks):
             if not _is_int(blk):
                 raise ParameterError(f"block {idx + 1} is {_shown(blk)}, not an integer bitmask")
             if blk < 0 or blk > full:
-                raise ParameterError(f"block {idx + 1} has bits outside points 1..{self.v}")
+                raise ParameterError(f"block {idx + 1} has bits outside points 1..{v}")
+        return tuple.__new__(cls, (v, k, lam, blocks))
 
     @property
     def b(self) -> int:
@@ -266,12 +262,11 @@ def design_to_dict(design: Design) -> dict[str, Any]:
 
 def design_from_dict(data: Any) -> Design:
     v, k, lam, blocks = _json_object(data, "design", ("v", "k", "lambda", "blocks"))
-    design = Design(v, k, lam, ())  # checks v, k and lambda before any block is read
-    return replace(design, blocks=_point_lists(blocks, "blocks", v, MAX_BLOCKS))
+    Design(v, k, lam, ())  # checks v, k and lambda before any block is read
+    return Design(v, k, lam, _point_lists(blocks, "blocks", v, MAX_BLOCKS))
 
 
-@dataclass(frozen=True)
-class DesignCheck:
+class DesignCheck(NamedTuple):
     """Outcome of checking the 2-design axioms on a Design."""
 
     ok: bool

@@ -20,8 +20,7 @@ of the two the exact rank (proof in `gram_certify`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .setsys import CertificateError, Family, ParameterError, is_valid_g_family
 
@@ -66,8 +65,7 @@ def _rank_mod_p(masks: Sequence[int], n: int, bits: int) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     """Exact certificate n*B^T B == u u^T + n*D plus the rank of B."""
 
     n: int

@@ -14,16 +14,14 @@ order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .setsys import CapacityError, ParameterError, SampleSpace, _is_int, _point_columns, _shown
+from .setsys import CapacityError, ParameterError, SampleSpace, _checked, _is_int, _point_columns, _shown
 
 MAX_VERTICES = 1 << 20
 
 
-@dataclass
-class _BuiltGraph:
+class _BuiltGraph(NamedTuple):
     cand: list[int]  # vertices adjacent to every root vertex, in search order
     adj: list[int]   # adjacency bitsets over cand indices
 
@@ -122,8 +120,7 @@ def _intersection_graph(
     return adj
 
 
-@dataclass(frozen=True)
-class PowerSetGraphOracle:
+class PowerSetGraphOracle(NamedTuple):
     """Graph on the nonempty subsets of {1..n}; edges are independent pairs."""
 
     space: SampleSpace
@@ -190,31 +187,27 @@ class PowerSetGraphOracle:
         return _ordered(list(self.candidates(prefix)), self._meet)
 
 
-@dataclass(frozen=True)
-class JohnsonGraphOracle:
+class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
     """Graph on the r-subsets of {1..n} with edges where |A∩B| = s.
 
     Its one root is an edge, or a vertex when the graph has no edge; the
     candidate graph is the common neighbourhood of the root.
     """
 
-    n: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in ("n", self.n), ("r", self.r), ("s", self.s):
+    def __new__(cls, n: int, r: int, s: int) -> JohnsonGraphOracle:
+        for name, value in ("n", n), ("r", r), ("s", s):
             if not _is_int(value):
                 raise ParameterError(f"{name} must be an integer, got {_shown(value)}")
-        if not self.n > self.r > self.s >= 1:
-            raise ParameterError(f"need n > r > s >= 1, got {_shown((self.n, self.r, self.s))}")
+        if not n > r > s >= 1:
+            raise ParameterError(f"need n > r > s >= 1, got {_shown((n, r, s))}")
         count = 1  # C(n, i + 1) rises up to i + 1 = min(r, n - r): stop past the limit
-        for i in range(min(self.r, self.n - self.r)):
-            count = count * (self.n - i) // (i + 1)
+        for i in range(min(r, n - r)):
+            count = count * (n - i) // (i + 1)
             if count > MAX_VERTICES:
-                raise CapacityError(
-                    f"C({_shown(self.n)},{_shown(self.r)}) vertices exceed the {MAX_VERTICES} limit"
-                )
+                raise CapacityError(f"C({_shown(n)},{_shown(r)}) vertices exceed the {MAX_VERTICES} limit")
+        return tuple.__new__(cls, (n, r, s))
 
     def contains_vertex(self, mask: int) -> bool:
         return 0 < mask < 1 << self.n and mask.bit_count() == self.r

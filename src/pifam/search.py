@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .construct import _is_prime, hadamard_family, hadamard_matrix, projective_plane
 from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
@@ -36,8 +35,7 @@ from .setsys import (
 SEARCH_MAX_N = 16     # exhaustive g/f search capacity
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     """A clique plus the evidence trail of the search that produced it."""
 
     size: int
@@ -264,7 +262,7 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
         )
     bound = 1 + len(primes) if squarefree else n
     result = max_clique(PowerSetGraphOracle(space), upper_bound=bound)
-    return replace(result, method="search-exhaustive")
+    return result._replace(method="search-exhaustive")
 
 
 def f_exact(n: int, method: str = "auto") -> CliqueResult:
@@ -276,7 +274,7 @@ def f_exact(n: int, method: str = "auto") -> CliqueResult:
     witness is the g-witness plus the empty event (mask 0).
     """
     gres = g_exact(n, method)
-    return replace(gres, size=gres.size + 1, witness=gres.witness + (0,))
+    return gres._replace(size=gres.size + 1, witness=gres.witness + (0,))
 
 
 def implied_f_bound(n: int, r: int, s: int, omega: int) -> int | None:
@@ -323,12 +321,11 @@ def johnson_omega(n: int, r: int, s: int) -> CliqueResult:
     name = min(bounds, key=bounds.__getitem__)
     result = max_clique(oracle, upper_bound=bounds[name], seed_clique=seed)
     if result.method.startswith("bound-met"):
-        result = replace(result, method=f"{name}-{result.method}")
+        result = result._replace(method=f"{name}-{result.method}")
     return result
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One certified (or honestly open) value of g at a multiple of four."""
 
     n: int

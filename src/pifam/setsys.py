@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PifamError(Exception):
@@ -51,6 +53,13 @@ def _shown(value: Any) -> str:
     return reprlib.repr(value)
 
 
+def _checked(typename: str, fields: str) -> type:
+    """A namedtuple base whose `_make`, and so `_replace`, calls the type and its checks."""
+    base = namedtuple(typename, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
 def points_to_mask(points: Iterable[int], n: int) -> int:
     """Bitmask of a collection of 1-indexed sample points."""
     mask = 0
@@ -73,19 +82,19 @@ def mask_to_points(mask: int) -> tuple[int, ...]:
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class SampleSpace(_checked("SampleSpace", "n")):
     """Uniform finite sample space on the points {1..n}, 1 <= n <= 63."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.n):
-            raise ParameterError(f"sample space size must be an integer, got {_shown(self.n)}")
-        if self.n < 1:
-            raise ParameterError(f"sample space needs at least one point, got n={_shown(self.n)}")
-        if self.n > MAX_POINTS:
-            raise CapacityError(f"n={_shown(self.n)} exceeds the {MAX_POINTS}-point bitmask limit")
+    def __new__(cls, n: int) -> SampleSpace:
+        if not _is_int(n):
+            raise ParameterError(f"sample space size must be an integer, got {_shown(n)}")
+        if n < 1:
+            raise ParameterError(f"sample space needs at least one point, got n={_shown(n)}")
+        if n > MAX_POINTS:
+            raise CapacityError(f"n={_shown(n)} exceeds the {MAX_POINTS}-point bitmask limit")
+        return tuple.__new__(cls, (n,))
 
     @property
     def full_mask(self) -> int:
@@ -104,20 +113,17 @@ class SampleSpace:
         return Event(self, 0)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_checked("Event", "space mask")):
     """A subset of a sample space, stored as a bitmask."""
 
-    space: SampleSpace
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.mask):
-            raise ParameterError(f"event mask {_shown(self.mask)} is not an integer")
-        if self.mask < 0 or self.mask > self.space.full_mask:
-            raise ParameterError(
-                f"mask {self.mask:#x} has bits outside points 1..{self.space.n}"
-            )
+    def __new__(cls, space: SampleSpace, mask: int) -> Event:
+        if not _is_int(mask):
+            raise ParameterError(f"event mask {_shown(mask)} is not an integer")
+        if mask < 0 or mask > space.full_mask:
+            raise ParameterError(f"mask {mask:#x} has bits outside points 1..{space.n}")
+        return tuple.__new__(cls, (space, mask))
 
     @property
     def size(self) -> int:
@@ -156,6 +162,7 @@ def _require_same_space(a: Event, b: Event) -> None:
 
 def probability(a: Event) -> Fraction:
     """P(A) = |A|/n as an exact reduced rational."""
+    from fractions import Fraction  # on first use: it imports decimal, which nothing else needs
     return Fraction(a.size, a.space.n)
 
 
@@ -165,7 +172,6 @@ def is_independent(a: Event, b: Event) -> bool:
     return a.space.n * (a.mask & b.mask).bit_count() == a.size * b.size
 
 
-@dataclass(frozen=True, eq=False)
 class Family:
     """Ordered collection of distinct events over one sample space.
 
@@ -173,18 +179,28 @@ class Family:
     hashing treat a family as a set of events.
     """
 
+    __slots__ = ("space", "events")
     space: SampleSpace
     events: tuple[Event, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, space: SampleSpace, events: Iterable[Event]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "events", tuple(events))
         seen: set[int] = set()
         for ev in self.events:
-            if ev.space != self.space:
+            if ev.space != space:
                 raise ParameterError("all events of a family must share its sample space")
             if ev.mask in seen:
                 raise ParameterError(f"duplicate event {_shown(list(ev.points()))}")
             seen.add(ev.mask)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"Family is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple[SampleSpace, tuple[Event, ...]]]:
+        return type(self), (self.space, self.events)  # copy and pickle rebuild through the checks
 
     def __len__(self) -> int:
         return len(self.events)

@@ -279,10 +279,12 @@ def test_a_huge_command_line_value_is_quoted_in_one_short_line(capsys, argv, cod
     (["design", "check"], {"v": 7, "k": 3, "lambda": 1, "blocks": [[1] * 100_000]}),
     (["family", "gram"], {"n": 4, "events": [["x" * 100_000]]}),
     (["family", "from-hadamard", "--matrix"], [["x" * 100_000]]),
-], ids=["repeated-point", "repeated-block-point", "long-point", "long-entry"])
-def test_a_bad_value_is_quoted_in_one_short_line(tmp_path, capsys, argv, data):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    (["family", "verify"], b"[" + b"9" * 5000 + b"]"),  # past Python's int digit limit
+], ids=["repeated-point", "repeated-block-point", "long-point", "long-entry", "long-integer"])
+def test_a_bad_value_is_quoted_in_one_short_line(tmp_path, monkeypatch, capsys, argv, data):
+    monkeypatch.chdir(tmp_path)
+    path = Path("b" * 55 + ".json")  # a 60-character path, quoted in a file error
+    path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and len(err.encode()) <= 200

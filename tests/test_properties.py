@@ -15,7 +15,6 @@ import io
 import itertools
 import json
 import tempfile
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -212,7 +211,7 @@ def designs(draw):
 @given(designs())
 def test_design_check_matches_the_pairwise_loop(design):
     want = design_check_fields(design.v, design.k, design.lam, design.blocks)
-    assert astuple(check_design(design)) == want
+    assert tuple(check_design(design)) == want
 
 
 def test_design_check_matches_the_pairwise_loop_on_every_small_design():
@@ -222,7 +221,7 @@ def test_design_check_matches_the_pairwise_loop_on_every_small_design():
     for v in range(1, 4):
         for k, lam, b in itertools.product(range(v + 1), range(3), range(4)):
             for blocks in itertools.product(range(1 << v), repeat=b):
-                got = astuple(check_design(Design(v, k, lam, blocks)))
+                got = tuple(check_design(Design(v, k, lam, blocks)))
                 assert got == design_check_fields(v, k, lam, blocks), (v, k, lam, blocks)
                 meets += (got[5] or "").startswith("blocks ")
     assert meets == 23
