@@ -14,52 +14,60 @@ arithmetic; a rank claim never rests on a floating-point tolerance.
 B itself is never built: the sizes and the Gram entries are read off the
 event bitmasks, and the rank is computed on packed event rows modulo the
 Mersenne prime 2^13 - 1 and, only when that falls short of min(t, n),
-modulo 2^127 - 1 as well; Hadamard's determinant bound makes the larger
-of the two the exact rank (proof in `gram_certify`).
+modulo 2^127 - 1 as well, on the n point rows instead when t > n;
+Hadamard's determinant bound makes the larger of the two the exact rank
+(proof in `gram_certify`).  A packed field is wide enough for every
+multiply-add a row can take, so each row is folded back to residues once,
+after its last one (argument in `_rank_mod_p`).
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple, Sequence
 
-from .setsys import CertificateError, Family, ParameterError, is_valid_g_family
+from .setsys import CertificateError, Family, ParameterError, _point_columns, is_valid_g_family
 
 
 _BYTES01 = bytes.maketrans(b"01", b"\0\1")
 
 
 def _rank_mod_p(masks: Sequence[int], n: int, bits: int) -> int:
-    """Rank over GF(p), p = 2^bits - 1 a Mersenne prime, of the 0/1 event rows.
+    """Rank over GF(p), p = 2^bits - 1 a Mersenne prime, of the 0/1 rows
+    `masks` on n columns, where the rows or the columns number at most 64.
 
-    Each row is one int with the entry of point i in field i, a field being
-    ceil(bits/4) bytes wide, so at least 2*bits bits: a row operation puts at
-    most p + (p - 1)p < 2^(2*bits) in a field, so no field carries into the
-    next, and two Mersenne folds bring every field back to 0..p (a field
-    equal to p stands for 0).  A row is reduced by every pivot row so far,
-    one multiply-add and two folds per pivot; what is left nonzero becomes
-    a pivot on its lowest nonzero field.
+    Each row is one int with the entry of column i in field i.  A row is
+    reduced by every pivot row so far, one multiply-add per pivot and no
+    fold; what is left nonzero becomes a pivot on its lowest nonzero field.
+    A field is 2*bits + 6 bits wide or more: it starts at 0 or 1 and takes
+    at most min(rows, n) <= 64 multiply-adds, each adding at most (p - 1)p
+    < 2^(2*bits), so it never carries into the next field.  After the last
+    one the row is folded, f -> (f mod 2^bits) + (f >> bits) in every field
+    at once, until no field is above p; a fold keeps each residue and
+    strictly lowers every field of 2^bits or more, so this ends, though for
+    small p it can take more than three folds.  Fields equal to p then
+    become 0, so a pivot row holds residues 0..p-1.
     """
     p = (1 << bits) - 1
-    step = -(-bits // 4)
+    step = -(-(2 * bits + 6) // 8)
     width = 8 * step
     ones = ((1 << width * n) - 1) // ((1 << width) - 1)  # 1 in every field
     lo, hi = ones * p, ones * ((1 << width - bits) - 1)
     field = (1 << width) - 1
-    pivots: list[tuple[int, int, int]] = []  # (field shift, 1/lead mod p, row)
+    pivots: list[tuple[int, int, int]] = []  # (field shift, -1/lead mod p, row)
     for m in masks:
         buf = bytearray(step * n)
         buf[::step] = format(m, f"0{n}b")[::-1].encode().translate(_BYTES01)
         row = int.from_bytes(buf, "little")
-        for shift, inv, top in pivots:
+        for shift, neg, top in pivots:
             h = (row >> shift & field) % p
             if h:
-                row += (p - h) * inv % p * top
-                row = (row & lo) + (row >> bits & hi)
-                row = (row & lo) + (row >> bits & hi)
+                row += h * neg % p * top
+        while row >> bits & hi:
+            row = (row & lo) + (row >> bits & hi)
         row -= ((row + ones) >> bits & ones) * p  # fields equal to p become 0
         if row:
             shift = ((row & -row).bit_length() - 1) // width * width
-            pivots.append((shift, pow(row >> shift & field, -1, p), row))
+            pivots.append((shift, p - pow(row >> shift & field, -1, p), row))
             if len(pivots) == n:
                 break
     return len(pivots)
@@ -105,6 +113,9 @@ def gram_certify(family: Family) -> GramReport:
       det M divisible by both would be a multiple of p*q, which it is
       smaller than.  Hence det M is nonzero mod p or mod q, and one of the
       two modular ranks reaches r.
+
+    When t > n the second pass runs on the n point rows, the rows of B,
+    instead of the t event rows; the minors are the same up to transpose.
     """
     if any(ev.is_empty for ev in family):
         raise ParameterError("gram certificates are defined for nonempty events only")
@@ -118,7 +129,8 @@ def gram_certify(family: Family) -> GramReport:
     gram_ok = is_valid_g_family(family)
     rk = _rank_mod_p(masks, n, 13)
     if rk < min(t, n):
-        rk = max(rk, _rank_mod_p(masks, n, 127))
+        rows = (masks, n) if t <= n else (_point_columns(masks, n), t)
+        rk = max(rk, _rank_mod_p(*rows, 127))
     full = rk == t
     if gram_ok and not full:
         # positive definiteness of B^T B forces full column rank

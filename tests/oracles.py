@@ -1,10 +1,11 @@
 """Independent reference computations the test suite checks the package against.
 
 Nothing here shares code with the package internals: rank goes through
-rational Gaussian elimination, clique numbers through networkx, the
-independence relation is restated from scratch, the H H^T = nI and
-design-axiom checks are the plain loops over row pairs, point pairs and
-blocks, and Hadamard normalization negates columns and rows entry by entry.
+textbook Gaussian elimination on lists of rationals or of ints mod a
+prime, clique numbers through networkx, the independence relation is
+restated from scratch, the H H^T = nI and design-axiom checks are the
+plain loops over row pairs, point pairs and blocks, and Hadamard
+normalization negates columns and rows entry by entry.
 """
 
 from __future__ import annotations
@@ -30,6 +31,30 @@ def fraction_rank(matrix) -> int:
             factor = rows[i][col] / rows[rk][col]
             for j in range(col, width):
                 rows[i][j] -= factor * rows[rk][j]
+        rk += 1
+        if rk == m:
+            break
+    return rk
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over GF(p), p prime, by textbook Gaussian elimination on lists
+    of ints reduced mod p after every row operation."""
+    rows = [[x % p for x in row] for row in matrix]
+    m = len(rows)
+    width = len(rows[0]) if m else 0
+    rk = 0
+    for col in range(width):
+        pivot = next((i for i in range(rk, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = pow(rows[rk][col], p - 2, p)  # Fermat: a^(p-2) = 1/a mod p
+        for i in range(rk + 1, m):
+            factor = rows[i][col] * inv % p
+            if factor:
+                for j in range(col, width):
+                    rows[i][j] = (rows[i][j] - factor * rows[rk][j]) % p
         rk += 1
         if rk == m:
             break

@@ -22,6 +22,8 @@ from pifam import (
 )
 from pifam.setsys import MAX_POINTS
 
+from oracles import rank_mod_p
+
 
 def test_incidence_examples():
     assert gram_certify(Family.from_points(2, [[1, 2]])).sizes == (2,)
@@ -128,7 +130,32 @@ def test_two_primes_exceed_hadamards_bound_at_every_order():
         assert (r + 1) ** (r + 1) < 4**r * pq * pq
 
 
-def test_gram_falls_back_to_bareiss_when_p_divides_a_minor(monkeypatch):
+def test_packed_fields_hold_every_multiply_add_and_fold_to_residues():
+    # a field starts at 0 or 1 and takes at most one multiply-add of at most
+    # (p - 1)p per pivot, so it must hold 1 + 64(p - 1)p without a carry;
+    # folding the widest field value must end at a residue 0..p
+    for bits in (13, 127):
+        p = (1 << bits) - 1
+        width = 8 * -(-(2 * bits + 6) // 8)
+        assert 1 + max(64, MAX_POINTS) * (p - 1) * p < 1 << width
+        row = (1 << width) - 1
+        while row >> bits:
+            row = (row & p) + (row >> bits)
+        assert row <= p and row % p == ((1 << width) - 1) % p
+
+
+def test_rank_kernel_folds_until_no_field_is_above_p():
+    # mod 3: Q = e_0 + e_62 is the first pivot, each R_i = e_0 + e_i reduces
+    # to the pivot e_i + 2e_62, and F = e_1 + ... + e_51 = sum R_i mod 3 takes
+    # 51 multiply-adds of 4 in field 62, which reaches 204 = 0 mod 3; three
+    # folds leave 6 there, so F is zero only if folding goes on past three
+    n = 63
+    masks = [1 | 1 << 62] + [1 | 1 << i for i in range(1, 52)] + [(1 << 52) - 2]
+    matrix = [[m >> i & 1 for i in range(n)] for m in masks]
+    assert exactlin._rank_mod_p(masks, n, 2) == rank_mod_p(matrix, 3) == 52
+
+
+def test_gram_falls_back_to_the_second_prime_when_p_divides_a_minor(monkeypatch):
     # det B = +-2 * 12^6 / 2^12 = +-2 * 3^6 for the order-12 witness, so
     # over GF(3) its rank is short of 12 and only the second prime certifies it
     fam = hadamard_family(hadamard_matrix(12))
@@ -139,7 +166,7 @@ def test_gram_falls_back_to_bareiss_when_p_divides_a_minor(monkeypatch):
     assert calls == [(13, 6), (127, 12)]
 
 
-def test_gram_rank_needs_no_bareiss_on_the_witness_families(monkeypatch):
+def test_gram_rank_needs_no_second_pass_on_the_witness_families(monkeypatch):
     calls = counted_passes(monkeypatch)
     orders = sorted(n for n in set(sylvester_orders()) | set(paley_orders()) if 4 <= n <= 60)
     families = [hadamard_family(hadamard_matrix(n)) for n in orders]

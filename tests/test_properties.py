@@ -1,10 +1,13 @@
 """Property tests: the Gram certificate, the g-family predicate, `family
 verify` and family JSON agree with each other and with the oracles on
 random families (n <= 12, t <= 8, and n <= 6 with t up to 16 or with a
-forced rank deficiency); the bit-parallel H H^T = nI and
-design-axiom checks agree with the plain loops in the oracles on random
-and perturbed matrices and designs; Hadamard designs and families do not
-change under row and column negations of the generator matrices.
+forced rank deficiency); the packed rank kernel agrees with elimination
+mod p for p = 2^2 - 1, 2^13 - 1 and 2^127 - 1 on 0/1 matrices of up to
+70 rows and 63 columns, forced deficiencies included; the bit-parallel
+H H^T = nI and design-axiom checks agree with the plain loops in the
+oracles on random and perturbed matrices and designs; Hadamard designs
+and families do not change under row and column negations of the
+generator matrices.
 
 Examples are derandomized and no example database is kept, so a run is
 deterministic and writes nothing.
@@ -27,6 +30,7 @@ from pifam import (
     HadamardMatrix,
     ParameterError,
     check_design,
+    exactlin,
     family_from_dict,
     family_to_dict,
     gram_certify,
@@ -49,6 +53,7 @@ from oracles import (
     hadamard_gram_violation,
     independent_masks,
     normalized_blocks,
+    rank_mod_p,
 )
 
 # no deadline: a CLI example writes a file, and its time depends on the host
@@ -113,6 +118,34 @@ def test_gram_ok_is_pairwise_independence_and_forces_full_rank(family):
     assert rep.full_column_rank == (rep.rank == t)
     if rep.gram_ok:
         assert rep.rank == t <= n and rep.full_column_rank
+
+
+@st.composite
+def packed_rows(draw):
+    """0/1 rows as masks on n <= 63 columns, t <= 70 of them so that t > n
+    occurs; mostly with one row repeated or with the sum of two disjoint
+    rows added, either of which makes the rows dependent."""
+    n = draw(st.integers(1, 63))
+    top = (1 << n) - 1
+    t = draw(st.integers(1, 68))
+    masks = draw(st.lists(st.integers(0, top), min_size=t, max_size=t))
+    extra = draw(st.sampled_from(["none", "repeat", "disjoint sum"]))
+    if extra == "repeat":
+        masks.append(draw(st.sampled_from(masks)))
+    elif extra == "disjoint sum":
+        a = draw(st.sampled_from(masks))
+        b = draw(st.integers(0, top)) & ~a
+        masks += [b, a | b]
+    return n, draw(st.permutations(masks))
+
+
+@PROPERTY
+@given(packed_rows())
+def test_packed_rank_kernel_matches_elimination_mod_p(rows):
+    n, masks = rows
+    matrix = [[m >> i & 1 for i in range(n)] for m in masks]
+    for bits in (2, 13, 127):
+        assert exactlin._rank_mod_p(masks, n, bits) == rank_mod_p(matrix, (1 << bits) - 1)
 
 
 @PROPERTY
