@@ -14,7 +14,7 @@ arithmetic; a rank claim never rests on a floating-point tolerance.
 B itself is never built: the sizes and the Gram entries are read off the
 event bitmasks, and the rank is computed on packed event rows modulo the
 Mersenne prime 2^13 - 1 and, only when that falls short of min(t, n),
-modulo 2^127 - 1 as well, on the n point rows instead when t > n;
+modulo 2^127 - 1 as well, on the n point rows; rank(B) = rank(B^T), and
 Hadamard's determinant bound makes the larger of the two the exact rank
 (proof in `gram_certify`).  A packed field is wide enough for every
 multiply-add a row can take, so each row is folded back to residues once,
@@ -114,8 +114,8 @@ def gram_certify(family: Family) -> GramReport:
       smaller than.  Hence det M is nonzero mod p or mod q, and one of the
       two modular ranks reaches r.
 
-    When t > n the second pass runs on the n point rows, the rows of B,
-    instead of the t event rows; the minors are the same up to transpose.
+    The second pass runs on the n point rows, the rows of B, for every t;
+    rank(B) = rank(B^T), and the minors are the same up to transpose.
     """
     if any(ev.is_empty for ev in family):
         raise ParameterError("gram certificates are defined for nonempty events only")
@@ -129,8 +129,7 @@ def gram_certify(family: Family) -> GramReport:
     gram_ok = is_valid_g_family(family)
     rk = _rank_mod_p(masks, n, 13)
     if rk < min(t, n):
-        rows = (masks, n) if t <= n else (_point_columns(masks, n), t)
-        rk = max(rk, _rank_mod_p(*rows, 127))
+        rk = max(rk, _rank_mod_p(_point_columns(masks, n), t, 127))
     full = rk == t
     if gram_ok and not full:
         # positive definiteness of B^T B forces full column rank

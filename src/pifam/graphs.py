@@ -120,10 +120,15 @@ def _intersection_graph(
     return adj
 
 
-class PowerSetGraphOracle(NamedTuple):
+class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
     """Graph on the nonempty subsets of {1..n}; edges are independent pairs."""
 
-    space: SampleSpace
+    __slots__ = ()
+
+    def __new__(cls, space: SampleSpace) -> PowerSetGraphOracle:
+        if not isinstance(space, SampleSpace):
+            raise ParameterError(f"space must be a SampleSpace, got {_shown(space)}")
+        return tuple.__new__(cls, (space,))
 
     def contains_vertex(self, mask: int) -> bool:
         return 1 <= mask <= self.space.full_mask

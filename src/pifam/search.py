@@ -130,8 +130,10 @@ def max_clique(
     incumbent above it -- seed, root prefix or search result -- raises
     CertificateError, so a wrong bound is never reported as met.
     `seed_clique` primes the incumbent and must be pairwise adjacent.  The
-    method is "bound-met-by-seed" when the seed alone reaches the bound,
-    "bound-met-by-search" when the search does, else "branch-and-bound".
+    method is "bound-met-by-seed" when a nonempty seed alone reaches the
+    bound, "bound-met-by-search" when the search does, else
+    "branch-and-bound".  A bound of 0 thus fails at the first root with a
+    vertex; only a graph with no vertex, whose one root is (), meets it.
     The returned witness is re-verified through the oracle before
     returning, independently of the search internals; a seed witness was
     already checked pair by pair on the way in.
@@ -169,7 +171,7 @@ def max_clique(
                     raise CertificateError(f"witness fails adjacency: {a} vs {b}")
         return CliqueResult(len(best), tuple(best), True, nodes, method)
 
-    if met(len(best)):
+    if best and met(len(best)):
         return finish("bound-met-by-seed")
     for root in oracle.roots():
         base = list(root)
@@ -196,7 +198,7 @@ def max_clique(
 
 def _try_hadamard_family(n: int) -> Family | None:
     """Witness family from a Hadamard generator covering order n, else None."""
-    if n < 4 or n % 4 != 0:
+    if n % 4:
         return None
     try:
         return hadamard_family(hadamard_matrix(n))
@@ -238,21 +240,21 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
     space = SampleSpace(n)
     primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
     squarefree = math.prod(primes) == n
+    bound = 1 + len(primes) if squarefree else n
     family = _try_hadamard_family(n) if method != "search" else None
-    if family is not None:
-        # hadamard_family certified its pairs; n events meet the bound g(n) <= n
-        if len(family) != n:
-            raise CertificateError(f"Hadamard witness has {len(family)} events, not n={n}")
-        return CliqueResult(n, family.masks(), True, 0, "construction-plus-bound")
-    if method == "construct":
+    route = "construction-plus-bound"
+    if family is None and method == "construct":
         raise CapacityError(
             f"no Hadamard generator covers n={n} (needs 4 | n and a Sylvester or "
             f"Paley order); use method='search' for n <= {SEARCH_MAX_N}"
         )
-    if method == "auto" and squarefree:
-        # the family's events are distinct, so it has 1 + ν(n) of them: the bound
-        family = _divisor_family(n, primes)
-        return CliqueResult(len(family), family.masks(), True, 0, "construction-plus-size-bound")
+    if family is None and method == "auto" and squarefree:
+        family, route = _divisor_family(n, primes), "construction-plus-size-bound"
+    if family is not None:
+        # _g_witness certified the family's pairs; meeting the bound makes it maximum
+        if len(family) != bound:
+            raise CertificateError(f"{route}: the witness has {len(family)} events, not the bound {bound}")
+        return CliqueResult(bound, family.masks(), True, 0, route)
     if n > SEARCH_MAX_N:
         raise CapacityError(
             f"methods tried for n={n}: construction (no Hadamard generator covers it "
@@ -260,7 +262,6 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
             if method == "auto"
             else f"exhaustive search is capped at n <= {SEARCH_MAX_N}, got n={n}"
         )
-    bound = 1 + len(primes) if squarefree else n
     result = max_clique(PowerSetGraphOracle(space), upper_bound=bound)
     return result._replace(method="search-exhaustive")
 

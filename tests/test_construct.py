@@ -105,6 +105,19 @@ def test_matrix_text_and_json_round_trip():
         hadamard_from_json([[1, 1], "nope"])
 
 
+def test_matrix_text_skips_blank_lines_and_needs_a_row():
+    assert hadamard_from_text("\n++\n  \n+-\n\n").rows == ((1, 1), (1, -1))
+    with pytest.raises(ParameterError, match="contains no rows"):
+        hadamard_from_text(" \n\t\n")
+    with pytest.raises(ParameterError, match="at least one row"):
+        HadamardMatrix(())
+
+
+def test_design_blocks_are_points_of_the_design():
+    with pytest.raises(ParameterError, match=r"block 1 has bits outside points 1\.\.3"):
+        Design(3, 1, 0, (8,))
+
+
 @pytest.mark.parametrize(
     "order,expected",
     [(4, (3, 1, 0)), (8, (7, 3, 1)), (12, (11, 5, 2))],

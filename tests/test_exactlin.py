@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pifam import (
+    CertificateError,
     Family,
     ParameterError,
     SampleSpace,
@@ -188,3 +189,10 @@ def test_gram_ranks_a_deficient_family_in_the_second_pass(monkeypatch):
     rep = gram_certify(fam)
     assert (rep.rank, rep.gram_ok, rep.full_column_rank) == (62, False, False)
     assert [bits for bits, _ in calls] == [13, 127]
+
+
+def test_a_gram_identity_with_a_short_rank_raises(monkeypatch):
+    # positive definiteness forces full column rank, so a short rank is a failed certificate
+    monkeypatch.setattr(exactlin, "_rank_mod_p", lambda masks, n, bits: 7)
+    with pytest.raises(CertificateError, match="column rank deficient"):
+        gram_certify(hadamard_family(hadamard_matrix(8)))

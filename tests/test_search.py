@@ -149,6 +149,13 @@ def test_max_clique_refuses_an_incumbent_above_the_bound():
     assert max_clique(oracle, upper_bound=4).method == "bound-met-by-search"
 
 
+def test_max_clique_refuses_a_bound_of_zero():
+    # an empty seed never meets the bound: the first root's pair refutes it
+    for oracle in PowerSetGraphOracle(SampleSpace(4)), JohnsonGraphOracle(5, 2, 1):
+        with pytest.raises(CertificateError, match="a clique of 2 exceeds the upper bound 0"):
+            max_clique(oracle, upper_bound=0)
+
+
 def test_max_clique_rejects_bad_seeds():
     oracle = PowerSetGraphOracle(SampleSpace(4))
     with pytest.raises(ParameterError):
@@ -301,6 +308,17 @@ def test_g_exact_construct_method():
         g_exact(6, "construct")
     with pytest.raises(CapacityError):
         g_exact(9, "construct")
+
+
+@pytest.mark.parametrize("name, n, route", [
+    ("_try_hadamard_family", 8, "construction-plus-bound"),
+    ("_divisor_family", 30, "construction-plus-size-bound"),
+])
+def test_a_construction_short_of_its_bound_raises(monkeypatch, name, n, route):
+    build = getattr(pifam.search, name)
+    monkeypatch.setattr(pifam.search, name, lambda n, *primes: Family.from_masks(n, build(n, *primes).masks()[1:]))
+    with pytest.raises(CertificateError, match=f"^{route}: the witness has .* events, not the bound"):
+        g_exact(n)
 
 
 def test_search_at_the_capacity_agrees_with_the_hadamard_route():
@@ -479,6 +497,14 @@ def test_johnson_validation():
         johnson_omega(4, 2, 0)
     with pytest.raises(CapacityError):
         JohnsonGraphOracle(60, 30, 15)
+
+
+def test_johnson_oracle_adjacency_needs_two_distinct_vertices():
+    oracle = JohnsonGraphOracle(5, 2, 1)
+    assert oracle.adjacent(0b00011, 0b00110)
+    assert not oracle.adjacent(0b00011, 0b00011)
+    assert not oracle.adjacent(0b00011, 0b00001)  # a 1-set meeting it in one point
+    assert not oracle.adjacent(0b00011, 0b100001)  # meets it in point 1, but point 6 is outside {1..5}
 
 
 def test_power_set_oracle_vertex_capacity():

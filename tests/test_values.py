@@ -19,6 +19,7 @@ from pifam import (
     HadamardMatrix,
     JohnsonGraphOracle,
     ParameterError,
+    PowerSetGraphOracle,
     SampleSpace,
     hadamard_matrix,
     probability,
@@ -33,6 +34,7 @@ CHECKED = [
     (Design(3, 1, 0, (1, 2, 4)), "k", 5, ParameterError),
     (hadamard_matrix(4), "rows", ((1, 1), (1, 1)), ParameterError),
     (JohnsonGraphOracle(5, 2, 1), "s", 2, ParameterError),
+    (PowerSetGraphOracle(SampleSpace(4)), "space", 7, ParameterError),
 ]
 IDS = [type(value).__name__ for value, *_ in CHECKED]
 
