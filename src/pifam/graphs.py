@@ -6,9 +6,9 @@ a symmetry group of the graph, such that some maximum clique is the
 image of a clique through some root.  The proofs are in the docstrings of
 the oracles' `roots`.  `candidates(root)` generates that root's
 candidates, the vertices adjacent to the whole prefix, directly by
-intersection size; `build_graph(root)` builds only their graph, with
-adjacency rows from bit-sliced intersection counts, in reverse degeneracy
-order.
+intersection size; `build_graph(root)` builds only their graph: adjacency
+rows from one bit-sliced intersection count, relabelled into reverse
+degeneracy order by a bit-matrix transpose.
 """
 
 from __future__ import annotations
@@ -27,10 +27,50 @@ class _BuiltGraph(NamedTuple):
 
 
 def _ordered(cand: list[int], meet: Callable[[int, int], int | None]) -> _BuiltGraph:
-    """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order."""
-    perm = _degeneracy_permutation(_intersection_graph(cand, meet))
-    cand = [cand[i] for i in perm]
-    return _BuiltGraph(cand, _intersection_graph(cand, meet))
+    """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order.
+
+    The adjacency is counted once, in the order of `cand`; the degeneracy
+    order is read off those rows, and the rows are then relabelled into it,
+    not counted again.
+    """
+    adj = _intersection_graph(cand, meet)
+    perm = _degeneracy_permutation(adj)
+    return _BuiltGraph([cand[v] for v in perm], _relabel(adj, perm))
+
+
+def _relabel(adj: list[int], perm: list[int]) -> list[int]:
+    """The graph `adj` with vertex perm[i] renamed i: the rows of P·A·Pᵀ.
+
+    A is symmetric, since `meet` is symmetric in its two sizes, and
+    irreflexive, since `_intersection_graph` clears the diagonal.  So
+    (P·A)ᵀ = Aᵀ·Pᵀ = A·Pᵀ and P·A·Pᵀ = P·(P·A)ᵀ: row i of the result is
+    column perm[i] of the rows [adj[v] for v in perm], and the diagonal
+    stays clear, so the result equals a fresh count over the relabelled
+    candidates.
+
+    The columns come from one block-swap transpose of those rows (H. S.
+    Warren, Hacker's Delight, 2nd ed., §7-3), bit c of row r being entry
+    (r, c).  Padded to side 2^k, the round for j = 2^(k-1), ..., 1
+    exchanges bit j of the row index with bit j of the column index: it
+    swaps entry (r, c + j) with entry (r + j, c) for every r and c with
+    bit j clear, one whole row pair at a time.  After all k rounds every
+    (r, c) sits at (c, r).
+    """
+    m = len(perm)
+    side = 1 << (m - 1).bit_length() if m else 0
+    rows = [adj[v] for v in perm] + [0] * (side - m)
+    j = side >> 1
+    keep = (1 << j) - 1  # the columns with bit j clear
+    while j:
+        for base in range(0, side, 2 * j):
+            for r in range(base, base + j):
+                s = (rows[r] >> j ^ rows[r + j]) & keep
+                if s:
+                    rows[r] ^= s << j
+                    rows[r + j] ^= s
+        j >>= 1
+        keep ^= keep << j
+    return [rows[v] for v in perm]
 
 
 def _degeneracy_permutation(adj: list[int]) -> list[int]:
@@ -93,6 +133,9 @@ def _intersection_graph(
     sizes: dict[int, int] = {}
     for i, mask in enumerate(cand):
         sizes[mask.bit_count()] = sizes.get(mask.bit_count(), 0) | 1 << i
+    # wanted[a]: the intersection size w for each size class b that meets a, with its members
+    wanted = {a: [(w, members) for b, members in sizes.items() if (w := meet(a, b)) is not None]
+              for a in sizes}
     adj = []
     for i, x in enumerate(cand):
         slices: list[int] = []
@@ -109,9 +152,8 @@ def _intersection_graph(
             if carry:
                 slices.append(carry)
         row = 0
-        for b, members in sizes.items():
-            w = meet(x.bit_count(), b)
-            if w is None or w >> len(slices):
+        for w, members in wanted[x.bit_count()]:
+            if w >> len(slices):
                 continue
             for k, s in enumerate(slices):
                 members &= s if w >> k & 1 else ~s

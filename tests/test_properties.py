@@ -5,7 +5,10 @@ forced rank deficiency); the packed rank kernel agrees with elimination
 mod p for p = 2^2 - 1, 2^13 - 1 and 2^127 - 1 on 0/1 matrices of up to
 70 rows and 63 columns, forced deficiencies included; the bit-parallel
 H H^T = nI and design-axiom checks agree with the plain loops in the
-oracles on random and perturbed matrices and designs; Hadamard designs
+oracles on random and perturbed matrices and designs; a relabelled
+candidate graph equals a fresh count in its order, under both oracles'
+intersection rules, on lists whose length is at or next to a power of
+two, where the transpose pads to a square; Hadamard designs
 and families do not change under row and column negations of the
 generator matrices.
 
@@ -29,10 +32,13 @@ from pifam import (
     Family,
     HadamardMatrix,
     ParameterError,
+    PowerSetGraphOracle,
+    SampleSpace,
     check_design,
     exactlin,
     family_from_dict,
     family_to_dict,
+    graphs,
     gram_certify,
     hadamard_family,
     hadamard_matrix,
@@ -146,6 +152,35 @@ def test_packed_rank_kernel_matches_elimination_mod_p(rows):
     matrix = [[m >> i & 1 for i in range(n)] for m in masks]
     for bits in (2, 13, 127):
         assert exactlin._rank_mod_p(masks, n, bits) == rank_mod_p(matrix, (1 << bits) - 1)
+
+
+# no candidates, and lengths at and next to the padded square's sides 1, 2, 64 and 128
+RELABEL_SIZES = (0, 1, 2, 63, 64, 65, 129)
+
+
+@st.composite
+def candidate_lists(draw, m):
+    """m distinct nonempty masks on 8 <= n <= 12 points (any m <= 40 if m
+    is None), and an intersection size s for the Johnson rule."""
+    n = draw(st.integers(8, 12))
+    if m is None:
+        m = draw(st.integers(0, 40))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=m, max_size=m, unique=True))
+    return n, masks, draw(st.integers(1, 4))
+
+
+@pytest.mark.parametrize("m", [*RELABEL_SIZES, None])
+@settings(PROPERTY, max_examples=20)
+@given(data=st.data())
+def test_relabelled_graph_equals_a_recount(m, data):
+    n, cand, s = data.draw(candidate_lists(m))
+    for meet in PowerSetGraphOracle(SampleSpace(n))._meet, lambda a, b: s:
+        perm = graphs._degeneracy_permutation(graphs._intersection_graph(cand, meet))
+        graph = graphs._ordered(cand, meet)
+        assert graph.cand == [cand[v] for v in perm]
+        assert graph.adj == graphs._intersection_graph(graph.cand, meet)
+        edges = {(i, j) for i, row in enumerate(graph.adj) for j in range(row.bit_length()) if row >> j & 1}
+        assert all(i != j and (j, i) in edges for i, j in edges)
 
 
 @PROPERTY

@@ -286,6 +286,48 @@ def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
         assert all(oracle.adjacent(c, u) for c in cand for u in root)
 
 
+@pytest.mark.parametrize("oracle", [
+    PowerSetGraphOracle(SampleSpace(8)),
+    PowerSetGraphOracle(SampleSpace(12)),
+    JohnsonGraphOracle(11, 4, 2),
+    JohnsonGraphOracle(14, 10, 7),
+], ids=["g8", "g12", "j11-4-2", "j14-10-7"])
+def test_build_graph_counts_intersections_once(monkeypatch, oracle):
+    # the degeneracy order is read off the one count, whose rows are then
+    # relabelled, not counted again
+    count = pifam.graphs._intersection_graph
+    calls = []
+
+    def counted(cand, meet):
+        calls.append(len(cand))
+        return count(cand, meet)
+
+    monkeypatch.setattr(pifam.graphs, "_intersection_graph", counted)
+    root = oracle.roots()[0]
+    graph = oracle.build_graph(root)
+    assert calls == [len(graph.cand)] and graph.cand
+
+
+# node counts and witnesses of the search order: a relabel that changes the
+# order of the candidates or of their rows changes them
+SEARCH_ORDER_PINS = [
+    (lambda: g_exact(8, "search"), 8, 14, (255, 135, 153, 170, 180, 204, 210, 225)),
+    (lambda: g_exact(9, "search"), 8, 54, (511, 259, 268, 373, 378, 438, 441, 448)),
+    (lambda: g_exact(12, "search"), 12, 2109,
+     (4095, 2079, 2409, 2516, 2674, 2732, 2947, 3249, 3274, 3366, 3653, 3864)),
+    (lambda: johnson_omega(10, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
+    (lambda: johnson_omega(14, 10, 7), 13, 4307,
+     (1023, 7295, 8093, 8163, 11757, 11991, 12091, 13787, 13999, 14197, 14775, 15097, 15183)),
+]
+
+
+@pytest.mark.parametrize("call, size, nodes, witness", SEARCH_ORDER_PINS,
+                         ids=["g8", "g9", "g12", "j10-4-2", "j14-10-7"])
+def test_search_order_is_pinned(call, size, nodes, witness):
+    result = call()
+    assert (result.size, result.optimal, result.nodes_explored, result.witness) == (size, True, nodes, witness)
+
+
 @pytest.mark.parametrize("n", SQUAREFREE)
 def test_auto_certifies_squarefree_n_by_the_divisor_family(n):
     result = g_exact(n)
