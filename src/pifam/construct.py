@@ -161,6 +161,8 @@ def hadamard_matrix(order: int, method: str = "auto") -> HadamardMatrix:
         raise ParameterError(f"unknown method {_shown(method)}; use sylvester, paley, or auto")
     if not _is_int(order):
         raise ParameterError(f"Hadamard order must be an integer, got {_shown(order)}")
+    if order < 1:
+        raise ParameterError(f"Hadamard order must be at least 1, got {_shown(order)}")
     if method in ("auto", "sylvester") and order in sylvester_orders():
         return sylvester(order.bit_length() - 1)
     if method in ("auto", "paley") and order in paley_orders():

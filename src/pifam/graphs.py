@@ -6,9 +6,14 @@ a symmetry group of the graph, such that some maximum clique is the
 image of a clique through some root.  The proofs are in the docstrings of
 the oracles' `roots`.  `candidates(root)` generates that root's
 candidates, the vertices adjacent to the whole prefix, directly by
-intersection size; `build_graph(root)` builds only their graph: adjacency
-rows from one bit-sliced intersection count, relabelled into reverse
-degeneracy order by a bit-matrix transpose.
+intersection size, not by filtering a larger set: the power-set oracle
+from the points inside and outside the root's last event, the Johnson
+oracle from the four cells of its edge root (v0, v1) -- v0∩v1, v0 - v1,
+v1 - v0 and the rest -- in the lexicographic order that filtering every
+neighbour of v0 would give.  `build_graph(root)` builds only their
+graph: adjacency rows from one bit-sliced intersection count, relabelled
+into reverse degeneracy order by a bit-matrix transpose; a root with no
+candidates builds nothing.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ def _ordered(cand: list[int], meet: Callable[[int, int], int | None]) -> _BuiltG
 
     The adjacency is counted once, in the order of `cand`; the degeneracy
     order is read off those rows, and the rows are then relabelled into it,
-    not counted again.
+    not counted again.  An empty `cand` returns at once.
     """
+    if not cand:
+        return _BuiltGraph([], [])
     adj = _intersection_graph(cand, meet)
     perm = _degeneracy_permutation(adj)
     return _BuiltGraph([cand[v] for v in perm], _relabel(adj, perm))
@@ -109,11 +116,18 @@ def _degeneracy_permutation(adj: list[int]) -> list[int]:
     return peel
 
 
+def _bits(mask: int) -> list[int]:
+    """The one-point masks of `mask`, lowest point first."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _choose(inside: int, k_in: int, outside: int, k_out: int) -> Iterator[int]:
-    """Masks made of k_in points of `inside` and k_out points of `outside`."""
-    bits_in = [1 << i for i in range(inside.bit_length()) if inside >> i & 1]
-    bits_out = [1 << i for i in range(outside.bit_length()) if outside >> i & 1]
-    for a in itertools.combinations(bits_in, k_in):
+    """Masks made of k_in points of `inside` and k_out points of `outside`,
+    in lexicographic order; none when a count is negative or above its set's size."""
+    if not (0 <= k_in <= inside.bit_count() and 0 <= k_out <= outside.bit_count()):
+        return
+    bits_out = _bits(outside)
+    for a in itertools.combinations(_bits(inside), k_in):
         base = sum(a)
         for b in itertools.combinations(bits_out, k_out):
             yield base + sum(b)
@@ -289,16 +303,44 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
 
     def candidates(self, prefix: tuple[int, ...] = ()) -> Iterator[int]:
         """Every vertex for an empty prefix, else the common neighbours of
-        the prefix: the r-sets with s points inside its first set and r - s
-        outside, kept when they meet every other prefix set in s."""
+        the prefix, generated from the four cells of its first two sets.
+
+        With v0, v1 the first two prefix sets (v1 = v0 for a vertex root),
+        an r-set m meets both in s points exactly when it is an s-subset A
+        of v0, plus k = s - |A∩v1| points of v1 - v0, plus r - s - k points
+        outside v0 ∪ v1: |m∩v0| = |A| = s and |m∩v1| = |A∩v1| + k = s.  Each
+        such m arises once, from A = m∩v0, so no neighbour of v0 is
+        generated only to be rejected.  No part fits when k > r - s.  The
+        parts depend on A through k alone and are listed once per k.  Sets
+        after the second are still checked one by one.
+
+        Order: A runs over the s-subsets of v0 in lexicographic order, and
+        for each A the parts run over the k-subsets of v1 - v0, then the
+        (r - s - k)-subsets of the rest.  In the canonical v1 of `roots()`
+        the points of v1 - v0 (bits r..2r-s-1) come before all the rest, so
+        a part's first k points decide its place, and this is the
+        lexicographic order of the (r - s)-subsets outside v0 that meet v1
+        in k: the same order as filtering every neighbour of v0 against v1,
+        so the search's node counts and witnesses follow from either.  For
+        other prefixes the set is the same, the order may differ.
+        """
         full = (1 << self.n) - 1
         if not prefix:
             yield from _choose(0, 0, full, self.r)
             return
-        v, rest = prefix[0], prefix[1:]
-        for m in _choose(v, self.s, full ^ v, self.r - self.s):
-            if all((m & u).bit_count() == self.s for u in rest):
-                yield m
+        v0, rest = prefix[0], prefix[2:]
+        v1 = prefix[1] if len(prefix) > 1 else v0  # a vertex root
+        s, t = self.s, self.r - self.s
+        parts: dict[int, list[int]] = {}  # k -> the masks of k points of v1 - v0 and t - k outside
+        for a in itertools.combinations(_bits(v0), s):
+            base = sum(a)
+            k = s - (base & v1).bit_count()
+            if k not in parts:
+                parts[k] = list(_choose(v1 & ~v0, k, full & ~(v0 | v1), t - k))
+            kept: Iterator[int] = map(base.__or__, parts[k])
+            if rest:
+                kept = (m for m in kept if all((m & u).bit_count() == s for u in rest))
+            yield from kept
 
     def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
         """The graph on `candidates(prefix)`."""

@@ -102,6 +102,24 @@ def brute_johnson_omega(n: int, r: int, s: int) -> int:
     return size
 
 
+def johnson_common_neighbours(n: int, r: int, s: int, prefix) -> list[int]:
+    """The common neighbours of a nonempty `prefix` of r-subsets of {1..n}
+    in the s-intersection graph, by filtering: every r-set made of s
+    points of prefix[0] and r - s points outside it, in lexicographic
+    order of those two point tuples, kept when it meets every later prefix
+    set in exactly s points."""
+    first = prefix[0]
+    inside = [p for p in range(n) if first >> p & 1]
+    outside = [p for p in range(n) if not first >> p & 1]
+    found = []
+    for a in itertools.combinations(inside, s):
+        for b in itertools.combinations(outside, r - s):
+            mask = sum(1 << p for p in a + b)
+            if all((mask & u).bit_count() == s for u in prefix[1:]):
+                found.append(mask)
+    return found
+
+
 def brute_max_clique(matrix) -> int:
     """Clique number of an explicit adjacency matrix via networkx."""
     m = len(matrix)

@@ -88,6 +88,13 @@ def test_hadamard_unsupported_order(capsys):
     assert "supported orders" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-4"])
+def test_hadamard_order_below_one_exits_one(capsys, order):
+    code, out, err = run(capsys, "hadamard", "--order", order)
+    assert (code, out) == (1, "")
+    assert err == f"error: Hadamard order must be at least 1, got {order}\n"
+
+
 def test_hadamard_paley_stdout(capsys):
     code, out, _ = run(capsys, "hadamard", "--order", "12", "--method", "paley")
     assert code == 0

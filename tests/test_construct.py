@@ -95,6 +95,14 @@ def test_hadamard_matrix_dispatch():
         hadamard_matrix(4, "unknown")
 
 
+@pytest.mark.parametrize("order", [0, -1, -4])
+def test_hadamard_matrix_refuses_an_order_below_one(order):
+    # an input error like sylvester(-1), not a capacity limit
+    with pytest.raises(ParameterError, match="at least 1"):
+        hadamard_matrix(order)
+    assert hadamard_matrix(1).rows == ((1,),)
+
+
 def test_matrix_text_and_json_round_trip():
     h = paley1(11)
     assert hadamard_from_text(hadamard_to_text(h)).rows == h.rows

@@ -32,7 +32,7 @@ from pifam import (
     max_clique,
 )
 
-from oracles import brute_f, brute_g, brute_johnson_omega, brute_max_clique
+from oracles import brute_f, brute_g, brute_johnson_omega, brute_max_clique, johnson_common_neighbours
 
 # values computed with the networkx-based oracle in oracles.py, frozen here;
 # n = 11..15, past networkx's reach, by the search and the g(n) <= n and
@@ -284,6 +284,52 @@ def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
         graph = oracle.build_graph(root)
         assert unordered.pop() == cand and sorted(graph.cand) == sorted(cand)
         assert all(oracle.adjacent(c, u) for c in cand for u in root)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_johnson_root_candidates_equal_the_filtered_neighbours(n):
+    # the same list, order included, as filtering every neighbour of v0;
+    # r < 2s, as in (7,4,3) and (10,4,3), makes some parts impossible
+    for s, r in itertools.combinations(range(1, n), 2):
+        oracle = JohnsonGraphOracle(n, r, s)
+        for root in oracle.roots():
+            assert list(oracle.candidates(root)) == johnson_common_neighbours(n, r, s, root)
+
+
+@pytest.mark.parametrize("n, r, s", [(7, 4, 3), (9, 4, 2), (10, 4, 3), (11, 5, 2), (12, 6, 3), (13, 4, 1)])
+def test_johnson_candidates_of_any_prefix_equal_the_filtered_neighbours(n, r, s):
+    # seeded prefixes on shuffled points, so that the points of v1 - v0
+    # interleave the rest, and with a random r-set w that may meet v0 in
+    # fewer than s points, leaving more than r - s points of w - v0: the
+    # same set as filtering, without repeats, whatever the order
+    rng = random.Random(f"{n}-{r}-{s}")
+    oracle = JohnsonGraphOracle(n, r, s)
+    interleaved = short = 0
+    for _ in range(12):
+        points = rng.sample(range(n), 2 * r - s)
+        v0 = sum(1 << p for p in points[:r])
+        v1 = sum(1 << p for p in points[:s] + points[r:])
+        w = sum(1 << p for p in rng.sample(range(n), r))
+        interleaved += any(p < (v1 & ~v0).bit_length() - 1 for p in range(n) if not (v0 | v1) >> p & 1)
+        short += (v0 & w).bit_count() < s
+        prefixes = [(v0,), (v0, v1), (v0, w), (v0, v1, w)]
+        common = johnson_common_neighbours(n, r, s, (v0, v1))
+        if common:
+            prefixes.append((v0, v1, rng.choice(common)))
+        for prefix in prefixes:
+            got = list(oracle.candidates(prefix))
+            assert sorted(got) == sorted(johnson_common_neighbours(n, r, s, prefix))
+            assert all(oracle.adjacent(c, u) for c in got for u in prefix)
+    assert interleaved and short
+
+
+@pytest.mark.parametrize("key", [(14, 7, 1), (12, 6, 1), (10, 5, 1)])
+def test_johnson_edge_root_without_candidates_builds_nothing(monkeypatch, key):
+    # ω = 2: no r-set meets both r-sets of the edge root in one point, so
+    # the root has no candidates and nothing is counted
+    monkeypatch.setattr(pifam.graphs, "_intersection_graph", refused)
+    result = johnson_omega(*key)
+    assert (result.size, result.optimal, result.nodes_explored) == (2, True, 0)
 
 
 @pytest.mark.parametrize("oracle", [
