@@ -13,7 +13,8 @@ v1 - v0 and the rest -- in the lexicographic order that filtering every
 neighbour of v0 would give.  `build_graph(root)` builds only their
 graph: adjacency rows from one bit-sliced intersection count, relabelled
 into reverse degeneracy order by a bit-matrix transpose; a root with no
-candidates builds nothing.
+candidates builds nothing.  The private core oracle is the power-set graph
+induced on the event sizes a with n | a², which the g-search tries first.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
         return tuple.__new__(cls, (space,))
 
     def contains_vertex(self, mask: int) -> bool:
-        return 1 <= mask <= self.space.full_mask
+        return _is_int(mask) and 0 < mask and not mask >> self.space.n
 
     def adjacent(self, a: int, b: int) -> bool:
         if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
@@ -235,7 +236,7 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
             raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
         full = self.space.full_mask
         if not prefix:
-            yield from range(1, full + 1)
+            yield from filter(self.contains_vertex, range(1, full + 1))
             return
         v, top = prefix[-1], 1 << (n - 1)
         for b in range(1, n):
@@ -246,6 +247,45 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
     def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
         """The graph on `candidates(prefix)`."""
         return _ordered(list(self.candidates(prefix)), self._meet)
+
+
+class _CoreGraphOracle(PowerSetGraphOracle):
+    """The power-set graph induced on Ω and the events of the core sizes:
+    the a with n | a², which are the multiples of c(n), the least c with
+    n | c² (both say 2·v_p(a) >= v_p(n) for every prime p).
+
+    Its roots are the roots (Ω, v_a) of `PowerSetGraphOracle` with a core
+    size a.  `_meet` has no intersection size for a size outside the core,
+    so `candidates` generates events of the core sizes b only.  The proof
+    of `roots` holds here as it stands: a point permutation keeps sizes,
+    and a complement keeps the core, since (n - a)² ≡ a² mod n.  Core
+    membership is part of `contains_vertex`, so `adjacent`, and with it the
+    witness check of `max_clique`, tests it too.
+    """
+
+    __slots__ = ()
+
+    def contains_vertex(self, mask: int) -> bool:
+        return super().contains_vertex(mask) and mask.bit_count() ** 2 % self.space.n == 0
+
+    def _meet(self, a: int, b: int) -> int | None:
+        n = self.space.n
+        return None if a * a % n or b * b % n else super()._meet(a, b)
+
+    def roots(self) -> list[tuple[int, ...]]:
+        return [root for root in super().roots() if self.contains_vertex(root[-1])]
+
+
+def _core_oracle(space: SampleSpace) -> _CoreGraphOracle | None:
+    """The core graph of `space`, or None where it would search the same
+    candidates as the whole graph: where no core root has a candidate of a
+    size outside the core, as at n = 4 and 9, or where the core has no
+    proper size, as at squarefree n."""
+    n = space.n
+    core = [a for a in range(1, n) if a * a % n == 0]
+    if any(a * b % n == 0 and b not in core for a in core if 2 * a <= n for b in range(1, n)):
+        return _CoreGraphOracle(space)
+    return None
 
 
 class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
@@ -271,7 +311,7 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
         return tuple.__new__(cls, (n, r, s))
 
     def contains_vertex(self, mask: int) -> bool:
-        return 0 < mask < 1 << self.n and mask.bit_count() == self.r
+        return _is_int(mask) and 0 < mask < 1 << self.n and mask.bit_count() == self.r
 
     def adjacent(self, a: int, b: int) -> bool:
         if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):

@@ -18,7 +18,7 @@ import math
 from typing import Any, NamedTuple, Sequence
 
 from .construct import _is_prime, hadamard_family, hadamard_matrix, projective_plane
-from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
+from .graphs import JohnsonGraphOracle, PowerSetGraphOracle, _core_oracle
 from .setsys import (
     CapacityError,
     CertificateError,
@@ -234,6 +234,24 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
     the bound: |M_p| = n/p and |M_p ∩ M_q| = n/pq.  So g(n) = 1 + ν(n), which
     "auto" certifies for every squarefree n <= 63 as
     "construction-plus-size-bound".
+
+    Core pass: for other n the search first runs over the core graph, the
+    power-set graph induced on Ω and the events whose size a has n | a²,
+    that is c | a for the least c with n | c² (`graphs._CoreGraphOracle`).
+    * Why maxima live there: let p^k be the exact power of p in n.  Two
+      proper events whose sizes a, b both have 2·v_p < k have v_p(ab) < k,
+      so n ∤ ab and they are not independent.  So per prime at most one
+      event of a family has a size outside the core, and the Hadamard
+      families, whose proper events all have size n/2, lie in it whole.
+    * Soundness: a clique of an induced subgraph is a clique of the graph,
+      and a clique that meets the proven bound is maximum; `max_clique`
+      re-verifies the witness through power-set adjacency plus core
+      membership.  A core pass that meets the bound is the result.
+    * Otherwise the full search runs as it would alone, and
+      `nodes_explored` counts both passes.  The pass is skipped where it
+      would search the same candidates, so at squarefree n (no proper core
+      size) and where no core root has a candidate outside the core: n = 4
+      and 9 within the search cap.
     """
     if method not in ("auto", "search", "construct"):
         raise ParameterError(f"unknown method {_shown(method)}; use search, construct, or auto")
@@ -262,8 +280,15 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
             if method == "auto"
             else f"exhaustive search is capped at n <= {SEARCH_MAX_N}, got n={n}"
         )
+    nodes = 0
+    core = None if squarefree else _core_oracle(space)
+    if core is not None:
+        result = max_clique(core, upper_bound=bound)
+        if result.size == bound:
+            return result._replace(method="search-exhaustive")
+        nodes = result.nodes_explored
     result = max_clique(PowerSetGraphOracle(space), upper_bound=bound)
-    return result._replace(method="search-exhaustive")
+    return result._replace(nodes_explored=nodes + result.nodes_explored, method="search-exhaustive")
 
 
 def f_exact(n: int, method: str = "auto") -> CliqueResult:

@@ -41,6 +41,7 @@ G_VALUES = {1: 1, 2: 2, 3: 2, 4: 4, 5: 2, 6: 3, 7: 2, 8: 8, 9: 8, 10: 3,
             11: 2, 12: 12, 13: 2, 14: 3, 15: 3}
 JOHNSON_VALUES = {(4, 2, 1): 3, (8, 4, 2): 7, (9, 3, 1): 7, (6, 3, 1): 4}
 SQUAREFREE = [n for n in range(1, 64) if all(n % (p * p) for p in range(2, 8))]
+CoreGraph = pifam.graphs._CoreGraphOracle
 
 
 def primes_of(n):
@@ -154,6 +155,16 @@ def test_max_clique_refuses_a_bound_of_zero():
     for oracle in PowerSetGraphOracle(SampleSpace(4)), JohnsonGraphOracle(5, 2, 1):
         with pytest.raises(CertificateError, match="a clique of 2 exceeds the upper bound 0"):
             max_clique(oracle, upper_bound=0)
+
+
+@pytest.mark.parametrize("oracle", [PowerSetGraphOracle(SampleSpace(4)), JohnsonGraphOracle(5, 2, 1)],
+                         ids=["power-set", "johnson"])
+@pytest.mark.parametrize("seed", [[1.5, 3], [3.0, 5], ["a"], [True, 15]])
+def test_a_seed_vertex_that_is_not_an_int_mask_is_refused(oracle, seed):
+    # a float, a string or a bool is no vertex, even where its value is a mask
+    assert not oracle.contains_vertex(seed[0])
+    with pytest.raises(ParameterError, match="is not a vertex of this graph"):
+        max_clique(oracle, seed_clique=seed)
 
 
 def test_max_clique_rejects_bad_seeds():
@@ -354,13 +365,19 @@ def test_build_graph_counts_intersections_once(monkeypatch, oracle):
     assert calls == [len(graph.cand)] and graph.cand
 
 
+G12_WITNESS = (4095, 2079, 2409, 2516, 2674, 2732, 2947, 3249, 3274, 3366, 3653, 3864)
+
 # node counts and witnesses of the search order: a relabel that changes the
-# order of the candidates or of their rows changes them
+# order of the candidates or of their rows changes them; g_exact at 8 and 12
+# meets its bound in the core pass, max_clique is the unreduced search
 SEARCH_ORDER_PINS = [
-    (lambda: g_exact(8, "search"), 8, 14, (255, 135, 153, 170, 180, 204, 210, 225)),
+    (lambda: g_exact(8, "search"), 8, 6, (255, 135, 153, 170, 180, 204, 210, 225)),
     (lambda: g_exact(9, "search"), 8, 54, (511, 259, 268, 373, 378, 438, 441, 448)),
-    (lambda: g_exact(12, "search"), 12, 2109,
-     (4095, 2079, 2409, 2516, 2674, 2732, 2947, 3249, 3274, 3366, 3653, 3864)),
+    (lambda: g_exact(12, "search"), 12, 10,
+     (4095, 2079, 2484, 2505, 2673, 2730, 2886, 3180, 3282, 3363, 3717, 3864)),
+    (lambda: max_clique(PowerSetGraphOracle(SampleSpace(8)), upper_bound=8), 8, 14,
+     (255, 135, 153, 170, 180, 204, 210, 225)),
+    (lambda: max_clique(PowerSetGraphOracle(SampleSpace(12)), upper_bound=12), 12, 2109, G12_WITNESS),
     (lambda: johnson_omega(10, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
     (lambda: johnson_omega(14, 10, 7), 13, 4307,
      (1023, 7295, 8093, 8163, 11757, 11991, 12091, 13787, 13999, 14197, 14775, 15097, 15183)),
@@ -368,10 +385,82 @@ SEARCH_ORDER_PINS = [
 
 
 @pytest.mark.parametrize("call, size, nodes, witness", SEARCH_ORDER_PINS,
-                         ids=["g8", "g9", "g12", "j10-4-2", "j14-10-7"])
+                         ids=["g8", "g9", "g12", "g8-unreduced", "g12-unreduced", "j10-4-2", "j14-10-7"])
 def test_search_order_is_pinned(call, size, nodes, witness):
     result = call()
     assert (result.size, result.optimal, result.nodes_explored, result.witness) == (size, True, nodes, witness)
+
+
+NOT_SQUAREFREE = [n for n in range(1, pifam.search.SEARCH_MAX_N + 1) if n not in SQUAREFREE]
+
+
+@pytest.mark.parametrize("n", NOT_SQUAREFREE)
+def test_core_first_search_matches_the_unreduced_search(n):
+    result = g_exact(n, "search")
+    unreduced = max_clique(PowerSetGraphOracle(SampleSpace(n)), upper_bound=n)
+    assert (result.size, result.optimal) == (unreduced.size, unreduced.optimal)
+    assert result.method == "search-exhaustive"
+    assert is_valid_g_family(Family.from_masks(n, result.witness))
+    if n <= 10:
+        assert result.size == brute_g(n)
+    # the core pass runs wherever some core root has a candidate outside the core
+    assert (pifam.graphs._core_oracle(SampleSpace(n)) is None) == (n in (4, 9))
+
+
+def test_core_oracle_is_the_induced_subgraph_on_the_core_sizes():
+    # the sizes a with n | a² are the multiples of c(n), the least c with n | c²
+    for n in range(1, 64):
+        c = next(c for c in range(1, n + 1) if c * c % n == 0)
+        core = CoreGraph(SampleSpace(n))
+        assert [a for a in range(1, n + 1) if core.contains_vertex((1 << a) - 1)] == list(range(c, n + 1, c))
+    core, whole = CoreGraph(SampleSpace(8)), PowerSetGraphOracle(SampleSpace(8))
+    assert list(core.candidates()) == [a for a in range(256) if a.bit_count() in (4, 8)]
+    assert [a for a in range(256) if core.contains_vertex(a)] == list(core.candidates())
+    for a, b in itertools.product(range(1, 256), repeat=2):
+        assert core.adjacent(a, b) == (whole.adjacent(a, b) and core.contains_vertex(a) and core.contains_vertex(b))
+    for root in core.roots():
+        assert all(core.contains_vertex(v) for v in root)
+        assert list(core.candidates(root)) == [v for v in whole.candidates(root) if core.contains_vertex(v)]
+
+
+class WholeCoreGraph(CoreGraph):
+    def roots(self):
+        return [()]
+
+
+@pytest.mark.parametrize("n", [4, 8, 9])
+def test_core_roots_match_the_unreduced_core_search(n):
+    # the complement and point-permutation orbits of the power-set roots
+    # keep the core, so its roots give the clique number of the whole core
+    # graph, searched from the empty prefix
+    whole = max_clique(WholeCoreGraph(SampleSpace(n)))
+    assert whole.size == max_clique(CoreGraph(SampleSpace(n))).size == G_VALUES[n]
+
+
+def test_a_core_pass_short_of_the_bound_falls_back_to_the_full_search(monkeypatch):
+    # a core pass cut to 40 candidates per root misses the bound; the full
+    # search then gives the witness of the unreduced search, and
+    # nodes_explored counts both passes
+    generate = CoreGraph.candidates
+    monkeypatch.setattr(CoreGraph, "candidates", lambda self, prefix=(): itertools.islice(generate(self, prefix), 40))
+    short = max_clique(CoreGraph(SampleSpace(12)), upper_bound=12)
+    assert short.size < 12 and short.nodes_explored > 0
+    result = g_exact(12, "search")
+    assert (result.size, result.optimal, result.method) == (12, True, "search-exhaustive")
+    assert (result.nodes_explored, result.witness) == (short.nodes_explored + 2109, G12_WITNESS)
+
+
+@pytest.mark.parametrize("n", [4, 9, 6, 10, 15])
+def test_no_core_graph_where_the_core_is_the_whole_search(monkeypatch, n):
+    # at 4 and 9 every core root's candidates are core events already, and
+    # squarefree n has no proper core size: neither builds a core graph, and
+    # squarefree n does not even ask whether to
+    for name in ("build_graph", "candidates", "roots"):
+        monkeypatch.setattr(CoreGraph, name, refused)
+    if n in SQUAREFREE:
+        monkeypatch.setattr(pifam.search, "_core_oracle", refused)
+    result = g_exact(n, "search")
+    assert (result.size, result.nodes_explored) == {4: (4, 2), 9: (8, 54)}.get(n, (3, 1))
 
 
 @pytest.mark.parametrize("n", SQUAREFREE)
