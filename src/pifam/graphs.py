@@ -13,8 +13,7 @@ v1 - v0 and the rest -- in the lexicographic order that filtering every
 neighbour of v0 would give.  `build_graph(root)` builds only their
 graph: adjacency rows from one bit-sliced intersection count, relabelled
 into reverse degeneracy order by a bit-matrix transpose; a root with no
-candidates builds nothing.  The private core oracle is the power-set graph
-induced on the event sizes a with n | a², which the g-search tries first.
+candidates builds nothing.
 """
 
 from __future__ import annotations
@@ -216,10 +215,24 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
           points to take B onto v_a.  Then swap each other proper member
           that misses point n with its complement.  The image is a clique
           of |K| events through Ω and v_a whose proper events all contain n.
-        So g = 2 + max over a of ω(the events containing n that are
-        independent of v_a), the graphs on `candidates`, or 1 when
-        n = 1.  Balanced sizes come first, where the Hadamard-type maxima
-        live, so the incumbent grows early.
+        * Core sizes: call a size a core when n | a², that is when c | a
+          for the least c with n | c².  Since (n - a)² ≡ a² mod n, a
+          complement keeps whether a size is core, and a permutation keeps
+          every size.  A root whose v_a has a core size takes only
+          candidates of core sizes.  If some proper member of K is not
+          core, take it as B: its root keeps every candidate, and the orbit
+          step holds unchanged.  Otherwise every member is core, B is any
+          of them, and the swaps and the permutation of that step keep
+          every member core, so the image lies among the core root's
+          candidates.  No bound is used, so this is exact at every n.
+        So g = 2 + max over the roots of ω(the graph on `candidates`), or 1
+        when n = 1.  Balanced sizes come first, where the Hadamard-type
+        maxima live, so the incumbent grows early.  Maxima lean on the core:
+        with p^k the exact power of a prime p in n, two proper events whose
+        sizes both have 2·v_p < k have v_p(ab) < k, so n ∤ ab and they are
+        not independent.  So per prime at most one member of a family is not
+        core, and a Hadamard family, all of whose proper events have size
+        n/2, is core whole: at 4 | n the first root is core and can meet g <= n.
         """
         n = self.space.n
         full = self.space.full_mask
@@ -230,7 +243,8 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
         """Every vertex for an empty prefix, else the candidates of a root
         from `roots()`: with v its last event, the events containing point
         n of each size b with n | |v|b, made of w - 1 points of v - {n} and
-        b - w points outside v, where w = |v|b/n."""
+        b - w points outside v, where w = |v|b/n; of the core sizes b only
+        (n | b²) when |v| is one (proof in `roots`)."""
         n = self.space.n
         if 1 << n > MAX_VERTICES:
             raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
@@ -239,53 +253,15 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
             yield from filter(self.contains_vertex, range(1, full + 1))
             return
         v, top = prefix[-1], 1 << (n - 1)
+        a = v.bit_count()
         for b in range(1, n):
-            w = self._meet(v.bit_count(), b)
-            if w is not None:
+            w = self._meet(a, b)
+            if w is not None and (a * a % n or b * b % n == 0):
                 yield from (top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w))
 
     def build_graph(self, prefix: tuple[int, ...] = ()) -> _BuiltGraph:
         """The graph on `candidates(prefix)`."""
         return _ordered(list(self.candidates(prefix)), self._meet)
-
-
-class _CoreGraphOracle(PowerSetGraphOracle):
-    """The power-set graph induced on Ω and the events of the core sizes:
-    the a with n | a², which are the multiples of c(n), the least c with
-    n | c² (both say 2·v_p(a) >= v_p(n) for every prime p).
-
-    Its roots are the roots (Ω, v_a) of `PowerSetGraphOracle` with a core
-    size a.  `_meet` has no intersection size for a size outside the core,
-    so `candidates` generates events of the core sizes b only.  The proof
-    of `roots` holds here as it stands: a point permutation keeps sizes,
-    and a complement keeps the core, since (n - a)² ≡ a² mod n.  Core
-    membership is part of `contains_vertex`, so `adjacent`, and with it the
-    witness check of `max_clique`, tests it too.
-    """
-
-    __slots__ = ()
-
-    def contains_vertex(self, mask: int) -> bool:
-        return super().contains_vertex(mask) and mask.bit_count() ** 2 % self.space.n == 0
-
-    def _meet(self, a: int, b: int) -> int | None:
-        n = self.space.n
-        return None if a * a % n or b * b % n else super()._meet(a, b)
-
-    def roots(self) -> list[tuple[int, ...]]:
-        return [root for root in super().roots() if self.contains_vertex(root[-1])]
-
-
-def _core_oracle(space: SampleSpace) -> _CoreGraphOracle | None:
-    """The core graph of `space`, or None where it would search the same
-    candidates as the whole graph: where no core root has a candidate of a
-    size outside the core, as at n = 4 and 9, or where the core has no
-    proper size, as at squarefree n."""
-    n = space.n
-    core = [a for a in range(1, n) if a * a % n == 0]
-    if any(a * b % n == 0 and b not in core for a in core if 2 * a <= n for b in range(1, n)):
-        return _CoreGraphOracle(space)
-    return None
 
 
 class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):

@@ -18,7 +18,7 @@ import math
 from typing import Any, NamedTuple, Sequence
 
 from .construct import _is_prime, hadamard_family, hadamard_matrix, projective_plane
-from .graphs import JohnsonGraphOracle, PowerSetGraphOracle, _core_oracle
+from .graphs import JohnsonGraphOracle, PowerSetGraphOracle
 from .setsys import (
     CapacityError,
     CertificateError,
@@ -124,7 +124,8 @@ def max_clique(
 
     Searches the candidate graph of each of `oracle.roots()` in turn,
     keeping one incumbent across them.  `upper_bound`, when given, must be
-    a valid bound on the clique number; the search stops with optimal=True
+    an int (not a bool) and a valid bound on the clique number, else
+    ParameterError or CertificateError; the search stops with optimal=True
     as soon as the incumbent reaches it (this is how a construction meeting
     a proven bound turns into an instant optimality certificate), and an
     incumbent above it -- seed, root prefix or search result -- raises
@@ -144,21 +145,23 @@ def max_clique(
     every event of its root by construction, so the root plus any one
     candidate is a clique of the bound's size.
     """
+    if upper_bound is not None and not _is_int(upper_bound):
+        raise ParameterError(f"upper_bound must be an integer or None, got {_shown(upper_bound)}")
     seed = tuple(seed_clique) if seed_clique else ()
     if len(set(seed)) != len(seed):
         raise ParameterError("seed clique repeats a vertex")
     for v in seed:
         if not oracle.contains_vertex(v):
-            raise ParameterError(f"seed vertex {v} is not a vertex of this graph")
+            raise ParameterError(f"seed vertex {_shown(v)} is not a vertex of this graph")
     for a, b in itertools.combinations(seed, 2):
         if not oracle.adjacent(a, b):
-            raise ParameterError(f"seed clique is not pairwise adjacent: {a} vs {b}")
+            raise ParameterError(f"seed clique is not pairwise adjacent: {_shown(a)} vs {_shown(b)}")
 
     def met(size: int) -> bool:
         if upper_bound is None:
             return False
         if size > upper_bound:
-            raise CertificateError(f"a clique of {size} exceeds the upper bound {upper_bound}")
+            raise CertificateError(f"a clique of {size} exceeds the upper bound {_shown(upper_bound)}")
         return size == upper_bound
 
     best = seeded = list(seed)
@@ -235,23 +238,9 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
     "auto" certifies for every squarefree n <= 63 as
     "construction-plus-size-bound".
 
-    Core pass: for other n the search first runs over the core graph, the
-    power-set graph induced on Ω and the events whose size a has n | a²,
-    that is c | a for the least c with n | c² (`graphs._CoreGraphOracle`).
-    * Why maxima live there: let p^k be the exact power of p in n.  Two
-      proper events whose sizes a, b both have 2·v_p < k have v_p(ab) < k,
-      so n ∤ ab and they are not independent.  So per prime at most one
-      event of a family has a size outside the core, and the Hadamard
-      families, whose proper events all have size n/2, lie in it whole.
-    * Soundness: a clique of an induced subgraph is a clique of the graph,
-      and a clique that meets the proven bound is maximum; `max_clique`
-      re-verifies the witness through power-set adjacency plus core
-      membership.  A core pass that meets the bound is the result.
-    * Otherwise the full search runs as it would alone, and
-      `nodes_explored` counts both passes.  The pass is skipped where it
-      would search the same candidates, so at squarefree n (no proper core
-      size) and where no core root has a candidate outside the core: n = 4
-      and 9 within the search cap.
+    The search is one pass over the roots of `PowerSetGraphOracle`, whose
+    root (Ω, v_a) takes only candidates of the core sizes b (n | b²) when
+    a is one; the proof that this is exact is in its `roots`.
     """
     if method not in ("auto", "search", "construct"):
         raise ParameterError(f"unknown method {_shown(method)}; use search, construct, or auto")
@@ -280,15 +269,7 @@ def g_exact(n: int, method: str = "auto") -> CliqueResult:
             if method == "auto"
             else f"exhaustive search is capped at n <= {SEARCH_MAX_N}, got n={n}"
         )
-    nodes = 0
-    core = None if squarefree else _core_oracle(space)
-    if core is not None:
-        result = max_clique(core, upper_bound=bound)
-        if result.size == bound:
-            return result._replace(method="search-exhaustive")
-        nodes = result.nodes_explored
-    result = max_clique(PowerSetGraphOracle(space), upper_bound=bound)
-    return result._replace(nodes_explored=nodes + result.nodes_explored, method="search-exhaustive")
+    return max_clique(PowerSetGraphOracle(space), upper_bound=bound)._replace(method="search-exhaustive")
 
 
 def f_exact(n: int, method: str = "auto") -> CliqueResult:

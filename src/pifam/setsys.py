@@ -49,8 +49,12 @@ def _is_int(value: Any) -> bool:
 
 
 def _shown(value: Any) -> str:
-    """`reprlib`'s short repr, so an error quotes a huge list or string in brief."""
-    return reprlib.repr(value)
+    """`reprlib`'s short repr, so an error quotes a huge list or string in brief;
+    a value holding an int past Python's str-conversion digit limit is named by type."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to show>"
 
 
 def _checked(typename: str, fields: str) -> type:

@@ -66,6 +66,14 @@ def independent_masks(n: int, a: int, b: int) -> bool:
     return n * (a & b).bit_count() == a.bit_count() * b.bit_count()
 
 
+def power_set_root_candidates(n: int, root) -> list[int]:
+    """Every mask on {1..n} that contains point n, is not in `root` and is
+    independent of each event of `root`, by filtering all 2^n masks, ascending."""
+    top = 1 << (n - 1)
+    return [m for m in range(1, 1 << n)
+            if m & top and m not in root and all(independent_masks(n, m, u) for u in root)]
+
+
 def brute_g(n: int) -> int:
     """g(n) via networkx max clique on the raw graph of nonempty subsets."""
     return _subset_clique(n, range(1, 1 << n))

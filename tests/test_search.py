@@ -32,7 +32,14 @@ from pifam import (
     max_clique,
 )
 
-from oracles import brute_f, brute_g, brute_johnson_omega, brute_max_clique, johnson_common_neighbours
+from oracles import (
+    brute_f,
+    brute_g,
+    brute_johnson_omega,
+    brute_max_clique,
+    johnson_common_neighbours,
+    power_set_root_candidates,
+)
 
 # values computed with the networkx-based oracle in oracles.py, frozen here;
 # n = 11..15, past networkx's reach, by the search and the g(n) <= n and
@@ -41,7 +48,6 @@ G_VALUES = {1: 1, 2: 2, 3: 2, 4: 4, 5: 2, 6: 3, 7: 2, 8: 8, 9: 8, 10: 3,
             11: 2, 12: 12, 13: 2, 14: 3, 15: 3}
 JOHNSON_VALUES = {(4, 2, 1): 3, (8, 4, 2): 7, (9, 3, 1): 7, (6, 3, 1): 4}
 SQUAREFREE = [n for n in range(1, 64) if all(n % (p * p) for p in range(2, 8))]
-CoreGraph = pifam.graphs._CoreGraphOracle
 
 
 def primes_of(n):
@@ -151,20 +157,35 @@ def test_max_clique_refuses_an_incumbent_above_the_bound():
 
 
 def test_max_clique_refuses_a_bound_of_zero():
-    # an empty seed never meets the bound: the first root's pair refutes it
+    # an empty seed never meets the bound: the first root's pair refutes it,
+    # as it does a negative bound, quoted in brief however long
     for oracle in PowerSetGraphOracle(SampleSpace(4)), JohnsonGraphOracle(5, 2, 1):
         with pytest.raises(CertificateError, match="a clique of 2 exceeds the upper bound 0"):
             max_clique(oracle, upper_bound=0)
+        for bound in -1, -(1 << 3000), -(10 ** 5000):
+            with pytest.raises(CertificateError, match="^a clique of 2 exceeds the upper bound ") as err:
+                max_clique(oracle, upper_bound=bound)
+            assert len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize("oracle", [PowerSetGraphOracle(SampleSpace(4)), JohnsonGraphOracle(5, 2, 1)],
                          ids=["power-set", "johnson"])
-@pytest.mark.parametrize("seed", [[1.5, 3], [3.0, 5], ["a"], [True, 15]])
+@pytest.mark.parametrize("seed", [[1.5, 3], [3.0, 5], ["a"], [True, 15], ["x" * 100000], [1 << 3000], [10 ** 5000]])
 def test_a_seed_vertex_that_is_not_an_int_mask_is_refused(oracle, seed):
-    # a float, a string or a bool is no vertex, even where its value is a mask
+    # a float, a string or a bool is no vertex, even where its value is a
+    # mask, nor is an int wider than the points; the error quotes it in brief,
+    # even past Python's 4300-digit limit for int to str
     assert not oracle.contains_vertex(seed[0])
-    with pytest.raises(ParameterError, match="is not a vertex of this graph"):
+    with pytest.raises(ParameterError, match="^seed vertex .* is not a vertex of this graph$") as err:
         max_clique(oracle, seed_clique=seed)
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("bound", ["x", True, False, 4.0, [1] * 100000], ids=["str", "true", "false", "float", "list"])
+def test_max_clique_refuses_an_upper_bound_that_is_not_an_int(bound):
+    with pytest.raises(ParameterError, match="^upper_bound must be an integer or None, got ") as err:
+        max_clique(PowerSetGraphOracle(SampleSpace(4)), upper_bound=bound)
+    assert len(str(err.value)) < 200
 
 
 def test_max_clique_rejects_bad_seeds():
@@ -365,19 +386,13 @@ def test_build_graph_counts_intersections_once(monkeypatch, oracle):
     assert calls == [len(graph.cand)] and graph.cand
 
 
-G12_WITNESS = (4095, 2079, 2409, 2516, 2674, 2732, 2947, 3249, 3274, 3366, 3653, 3864)
-
 # node counts and witnesses of the search order: a relabel that changes the
-# order of the candidates or of their rows changes them; g_exact at 8 and 12
-# meets its bound in the core pass, max_clique is the unreduced search
+# order of the candidates or of their rows changes them
 SEARCH_ORDER_PINS = [
     (lambda: g_exact(8, "search"), 8, 6, (255, 135, 153, 170, 180, 204, 210, 225)),
     (lambda: g_exact(9, "search"), 8, 54, (511, 259, 268, 373, 378, 438, 441, 448)),
     (lambda: g_exact(12, "search"), 12, 10,
      (4095, 2079, 2484, 2505, 2673, 2730, 2886, 3180, 3282, 3363, 3717, 3864)),
-    (lambda: max_clique(PowerSetGraphOracle(SampleSpace(8)), upper_bound=8), 8, 14,
-     (255, 135, 153, 170, 180, 204, 210, 225)),
-    (lambda: max_clique(PowerSetGraphOracle(SampleSpace(12)), upper_bound=12), 12, 2109, G12_WITNESS),
     (lambda: johnson_omega(10, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
     (lambda: johnson_omega(14, 10, 7), 13, 4307,
      (1023, 7295, 8093, 8163, 11757, 11991, 12091, 13787, 13999, 14197, 14775, 15097, 15183)),
@@ -385,7 +400,7 @@ SEARCH_ORDER_PINS = [
 
 
 @pytest.mark.parametrize("call, size, nodes, witness", SEARCH_ORDER_PINS,
-                         ids=["g8", "g9", "g12", "g8-unreduced", "g12-unreduced", "j10-4-2", "j14-10-7"])
+                         ids=["g8", "g9", "g12", "j10-4-2", "j14-10-7"])
 def test_search_order_is_pinned(call, size, nodes, witness):
     result = call()
     assert (result.size, result.optimal, result.nodes_explored, result.witness) == (size, True, nodes, witness)
@@ -394,71 +409,62 @@ def test_search_order_is_pinned(call, size, nodes, witness):
 NOT_SQUAREFREE = [n for n in range(1, pifam.search.SEARCH_MAX_N + 1) if n not in SQUAREFREE]
 
 
+class FullCandidatePowerSetGraph(PowerSetGraphOracle):
+    """The power-set graph whose roots take every candidate, by the filter in oracles.py."""
+
+    def candidates(self, prefix=()):
+        return iter(power_set_root_candidates(self.space.n, prefix)) if prefix else super().candidates()
+
+
+@pytest.mark.parametrize("n", range(1, pifam.search.SEARCH_MAX_N + 1))
+def test_power_set_root_candidates_are_the_filter_cut_to_core_sizes_at_core_roots(n):
+    # a root whose last event has a core size a (n | a²) keeps the core
+    # sizes; every other root keeps every candidate
+    oracle = PowerSetGraphOracle(SampleSpace(n))
+    for root in oracle.roots():
+        core = root[-1].bit_count() ** 2 % n == 0
+        expected = [m for m in power_set_root_candidates(n, root) if not core or m.bit_count() ** 2 % n == 0]
+        assert sorted(oracle.candidates(root)) == expected
+
+
+def test_core_sizes_are_the_multiples_of_the_least_core_size():
+    # the sizes a with n | a² are the multiples of c(n), the least c with n | c²
+    for n in range(1, 64):
+        c = next(c for c in range(1, n + 1) if c * c % n == 0)
+        assert [a for a in range(1, n + 1) if a * a % n == 0] == list(range(c, n + 1, c))
+
+
 @pytest.mark.parametrize("n", NOT_SQUAREFREE)
 def test_core_first_search_matches_the_unreduced_search(n):
     result = g_exact(n, "search")
-    unreduced = max_clique(PowerSetGraphOracle(SampleSpace(n)), upper_bound=n)
+    unreduced = max_clique(FullCandidatePowerSetGraph(SampleSpace(n)), upper_bound=n)
     assert (result.size, result.optimal) == (unreduced.size, unreduced.optimal)
     assert result.method == "search-exhaustive"
     assert is_valid_g_family(Family.from_masks(n, result.witness))
     if n <= 10:
         assert result.size == brute_g(n)
-    # the core pass runs wherever some core root has a candidate outside the core
-    assert (pifam.graphs._core_oracle(SampleSpace(n)) is None) == (n in (4, 9))
 
 
-def test_core_oracle_is_the_induced_subgraph_on_the_core_sizes():
-    # the sizes a with n | a² are the multiples of c(n), the least c with n | c²
-    for n in range(1, 64):
-        c = next(c for c in range(1, n + 1) if c * c % n == 0)
-        core = CoreGraph(SampleSpace(n))
-        assert [a for a in range(1, n + 1) if core.contains_vertex((1 << a) - 1)] == list(range(c, n + 1, c))
-    core, whole = CoreGraph(SampleSpace(8)), PowerSetGraphOracle(SampleSpace(8))
-    assert list(core.candidates()) == [a for a in range(256) if a.bit_count() in (4, 8)]
-    assert [a for a in range(256) if core.contains_vertex(a)] == list(core.candidates())
-    for a, b in itertools.product(range(1, 256), repeat=2):
-        assert core.adjacent(a, b) == (whole.adjacent(a, b) and core.contains_vertex(a) and core.contains_vertex(b))
-    for root in core.roots():
-        assert all(core.contains_vertex(v) for v in root)
-        assert list(core.candidates(root)) == [v for v in whole.candidates(root) if core.contains_vertex(v)]
-
-
-class WholeCoreGraph(CoreGraph):
-    def roots(self):
-        return [()]
-
-
-@pytest.mark.parametrize("n", [4, 8, 9])
-def test_core_roots_match_the_unreduced_core_search(n):
-    # the complement and point-permutation orbits of the power-set roots
-    # keep the core, so its roots give the clique number of the whole core
-    # graph, searched from the empty prefix
-    whole = max_clique(WholeCoreGraph(SampleSpace(n)))
-    assert whole.size == max_clique(CoreGraph(SampleSpace(n))).size == G_VALUES[n]
-
-
-def test_a_core_pass_short_of_the_bound_falls_back_to_the_full_search(monkeypatch):
-    # a core pass cut to 40 candidates per root misses the bound; the full
-    # search then gives the witness of the unreduced search, and
-    # nodes_explored counts both passes
-    generate = CoreGraph.candidates
-    monkeypatch.setattr(CoreGraph, "candidates", lambda self, prefix=(): itertools.islice(generate(self, prefix), 40))
-    short = max_clique(CoreGraph(SampleSpace(12)), upper_bound=12)
-    assert short.size < 12 and short.nodes_explored > 0
-    result = g_exact(12, "search")
-    assert (result.size, result.optimal, result.method) == (12, True, "search-exhaustive")
-    assert (result.nodes_explored, result.witness) == (short.nodes_explored + 2109, G12_WITNESS)
+@pytest.mark.parametrize("n", [12, 6, 10])
+def test_a_non_core_root_keeps_every_candidate(monkeypatch, n):
+    # at n = 12 the root (Ω, v_3) alone gives 3 through events of sizes 4
+    # and 8, none of them core; squarefree n has no proper core size at all.
+    # Cutting a non-core root to core sizes loses the third event.
+    space = SampleSpace(n)
+    if n == 12:
+        root = next(r for r in PowerSetGraphOracle(space).roots() if r[-1].bit_count() == 3)
+        monkeypatch.setattr(PowerSetGraphOracle, "roots", lambda self: [root])
+    assert max_clique(PowerSetGraphOracle(space)).size == 3
+    generate = PowerSetGraphOracle.candidates
+    monkeypatch.setattr(PowerSetGraphOracle, "candidates", lambda self, prefix=(): (
+        m for m in generate(self, prefix) if m.bit_count() ** 2 % n == 0))
+    assert max_clique(PowerSetGraphOracle(space)).size == 2
 
 
 @pytest.mark.parametrize("n", [4, 9, 6, 10, 15])
-def test_no_core_graph_where_the_core_is_the_whole_search(monkeypatch, n):
-    # at 4 and 9 every core root's candidates are core events already, and
-    # squarefree n has no proper core size: neither builds a core graph, and
-    # squarefree n does not even ask whether to
-    for name in ("build_graph", "candidates", "roots"):
-        monkeypatch.setattr(CoreGraph, name, refused)
-    if n in SQUAREFREE:
-        monkeypatch.setattr(pifam.search, "_core_oracle", refused)
+def test_g_search_node_counts_where_the_core_rule_drops_no_candidate(n):
+    # at 4 and 9 every candidate of a core root has a core size already, and
+    # squarefree n has no proper core size, so the rule leaves these searches as they were
     result = g_exact(n, "search")
     assert (result.size, result.nodes_explored) == {4: (4, 2), 9: (8, 54)}.get(n, (3, 1))
 

@@ -123,6 +123,15 @@ def test_event_masks_must_be_integers(mask):
         SampleSpace(4).event_from_mask(mask)
 
 
+@pytest.mark.parametrize("call", [lambda: SampleSpace(10 ** 5000), lambda: points_to_mask([10 ** 5000], 4)],
+                         ids=["sample-space", "sample-point"])
+def test_an_int_past_the_str_digit_limit_is_named_by_type(call):
+    # str() refuses an int of more than 4300 digits; the error stays a short PifamError
+    with pytest.raises(PifamError, match="<int too large to show>") as err:
+        call()
+    assert len(str(err.value)) < 200
+
+
 def test_a_float_mask_cannot_pass_as_a_g_family():
     # a one-event family has no pair to test, so only the mask check stops it
     with pytest.raises(ParameterError):
