@@ -12,7 +12,8 @@ oracle from the four cells of its edge root (v0, v1) -- v0∩v1, v0 - v1,
 v1 - v0 and the rest -- in the lexicographic order that filtering every
 neighbour of v0 would give.  `build_graph(root)` builds only their
 graph: adjacency rows from one bit-sliced intersection count, relabelled
-into reverse degeneracy order by a bit-matrix transpose; a root with no
+into reverse degeneracy order.  The count, the degree slices and the
+relabel transpose through `setsys._point_columns`.  A root with no
 candidates builds nothing.
 """
 
@@ -34,50 +35,19 @@ class _BuiltGraph(NamedTuple):
 def _ordered(cand: list[int], meet: Callable[[int, int], int | None]) -> _BuiltGraph:
     """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order.
 
-    The adjacency is counted once, in the order of `cand`; the degeneracy
-    order is read off those rows, and the rows are then relabelled into it,
-    not counted again.  An empty `cand` returns at once.
+    Its adjacency A is counted once, in the order of `cand`, and relabelled
+    into the degeneracy order read off its rows, perm[i] renamed i, not
+    counted again.  A is symmetric (so is `meet`) and irreflexive (the count
+    clears the diagonal), so (P·A)ᵀ = A·Pᵀ and P·A·Pᵀ = P·(P·A)ᵀ: row i of
+    the result is column perm[i] of the rows [adj[v] for v in perm], which
+    a fresh count would give too.  An empty `cand` returns at once.
     """
     if not cand:
         return _BuiltGraph([], [])
     adj = _intersection_graph(cand, meet)
     perm = _degeneracy_permutation(adj)
-    return _BuiltGraph([cand[v] for v in perm], _relabel(adj, perm))
-
-
-def _relabel(adj: list[int], perm: list[int]) -> list[int]:
-    """The graph `adj` with vertex perm[i] renamed i: the rows of P·A·Pᵀ.
-
-    A is symmetric, since `meet` is symmetric in its two sizes, and
-    irreflexive, since `_intersection_graph` clears the diagonal.  So
-    (P·A)ᵀ = Aᵀ·Pᵀ = A·Pᵀ and P·A·Pᵀ = P·(P·A)ᵀ: row i of the result is
-    column perm[i] of the rows [adj[v] for v in perm], and the diagonal
-    stays clear, so the result equals a fresh count over the relabelled
-    candidates.
-
-    The columns come from one block-swap transpose of those rows (H. S.
-    Warren, Hacker's Delight, 2nd ed., §7-3), bit c of row r being entry
-    (r, c).  Padded to side 2^k, the round for j = 2^(k-1), ..., 1
-    exchanges bit j of the row index with bit j of the column index: it
-    swaps entry (r, c + j) with entry (r + j, c) for every r and c with
-    bit j clear, one whole row pair at a time.  After all k rounds every
-    (r, c) sits at (c, r).
-    """
-    m = len(perm)
-    side = 1 << (m - 1).bit_length() if m else 0
-    rows = [adj[v] for v in perm] + [0] * (side - m)
-    j = side >> 1
-    keep = (1 << j) - 1  # the columns with bit j clear
-    while j:
-        for base in range(0, side, 2 * j):
-            for r in range(base, base + j):
-                s = (rows[r] >> j ^ rows[r + j]) & keep
-                if s:
-                    rows[r] ^= s << j
-                    rows[r + j] ^= s
-        j >>= 1
-        keep ^= keep << j
-    return [rows[v] for v in perm]
+    cols = _point_columns([adj[v] for v in perm], len(perm))
+    return _BuiltGraph([cand[v] for v in perm], [cols[v] for v in perm])
 
 
 def _degeneracy_permutation(adj: list[int]) -> list[int]:
@@ -85,17 +55,12 @@ def _degeneracy_permutation(adj: list[int]) -> list[int]:
 
     Peels the live vertex of least remaining degree, ties toward the
     smallest index, so runs are reproducible.  The degrees are binary
-    counters sliced across all vertices, so finding the least degree and
-    removing a vertex's edges take a few whole-bitset steps per vertex, not
-    one step per edge.
+    counters sliced across all vertices, the transpose of the degree list,
+    so finding the least degree and removing a vertex's edges take a few
+    whole-bitset steps per vertex, not one step per edge.
     """
     m = len(adj)
-    slices = [0] * m.bit_length()  # bit k of every vertex's degree
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        for k in range(d.bit_length()):
-            if d >> k & 1:
-                slices[k] |= 1 << v
+    slices = _point_columns([row.bit_count() for row in adj], m.bit_length())  # bit k of every degree
     alive = (1 << m) - 1
     peel: list[int] = []
     while alive:

@@ -147,12 +147,15 @@ def max_clique(
     """
     if upper_bound is not None and not _is_int(upper_bound):
         raise ParameterError(f"upper_bound must be an integer or None, got {_shown(upper_bound)}")
-    seed = tuple(seed_clique) if seed_clique else ()
-    if len(set(seed)) != len(seed):
-        raise ParameterError("seed clique repeats a vertex")
+    try:
+        seed = () if seed_clique is None else tuple(seed_clique)
+    except TypeError:
+        raise ParameterError(f"seed_clique must be a list of vertices, got {_shown(seed_clique)}") from None
     for v in seed:
         if not oracle.contains_vertex(v):
             raise ParameterError(f"seed vertex {_shown(v)} is not a vertex of this graph")
+    if len(set(seed)) != len(seed):
+        raise ParameterError("seed clique repeats a vertex")
     for a, b in itertools.combinations(seed, 2):
         if not oracle.adjacent(a, b):
             raise ParameterError(f"seed clique is not pairwise adjacent: {_shown(a)} vs {_shown(b)}")

@@ -4,7 +4,8 @@ An event over the sample space {1..n} is stored as a fixed-width integer
 bitmask: bit i-1 stands for sample point i (1-indexed outside, 0-indexed
 bits inside).  All predicates run in exact integer arithmetic; the
 independence test uses the cross-multiplied form n*|A & B| == |A|*|B| so
-no rational numbers appear on search hot paths.
+no rational numbers appear on search hot paths.  `_point_columns` is the
+package's one bit-matrix transpose, read by designs, ranks and graphs.
 """
 
 from __future__ import annotations
@@ -274,16 +275,35 @@ def _g_witness(n: int, proper: Iterable[int], what: str) -> Family:
 
 
 def _point_columns(masks: Sequence[int], n: int) -> list[int]:
-    """cols[p]: bitmask of the masks that hold point p + 1, bit j for masks[j].
-    Filled as bytearrays: OR-ing a bit into an int copies the whole int."""
-    cols = [bytearray((len(masks) + 7) // 8) for _ in range(n)]
-    for j, mask in enumerate(masks):
-        byte, bit = j >> 3, 1 << (j & 7)
-        while mask:
-            low = mask & -mask
-            cols[low.bit_length() - 1][byte] |= bit
-            mask ^= low
-    return [int.from_bytes(col, "little") for col in cols]
+    """cols[p]: bitmask of the masks that hold point p + 1, bit j for masks[j];
+    every mask must lie below 2^n.
+
+    A block-swap transpose (H. S. Warren, Hacker's Delight, 2nd ed., §7-3),
+    bit c of row r being entry (r, c).  Columns pad to side 2^k >= max(n, 8),
+    and rows past the first 2^k stack onto them, so each block of 2^k columns
+    is a square.  The round for j = 2^(k-1), ..., 1 swaps entries (r, c + j) and
+    (r + j, c) for every r and c with bit j clear, exchanging bit j of the row
+    and column indices; after all k, (r, c) sits at (c, r).  An entry's row
+    bits above j are its column's, below n: row pairs from row n on are zero.
+    """
+    side = 1 << (max(n, 8) - 1).bit_length()
+    rows = [*masks] + [0] * (side - len(masks))
+    if len(rows) > side:  # row r + q·2^k goes onto row r, shifted by q·2^k
+        cells = [mask.to_bytes(side >> 3, "little") for mask in masks]
+        rows = [int.from_bytes(b"".join(cells[r::side]), "little") for r in range(side)]
+    j = side >> 1
+    span = -(-len(masks) // side) * side
+    keep = ((1 << span) - 1) // ((1 << side) - 1) * ((1 << j) - 1)  # the columns with bit j clear
+    while j:
+        for base in range(0, n, 2 * j):
+            for r in range(base, base + j):
+                s = (rows[r] >> j ^ rows[r + j]) & keep
+                if s:
+                    rows[r] ^= s << j
+                    rows[r + j] ^= s
+        j >>= 1
+        keep ^= keep << j
+    return rows[:n]
 
 
 def family_to_dict(family: Family) -> dict[str, Any]:

@@ -4,8 +4,9 @@ Nothing here shares code with the package internals: rank goes through
 textbook Gaussian elimination on lists of rationals or of ints mod a
 prime, clique numbers through networkx, the independence relation is
 restated from scratch, the H H^T = nI and design-axiom checks are the
-plain loops over row pairs, point pairs and blocks, and Hadamard
-normalization negates columns and rows entry by entry.
+plain loops over row pairs, point pairs and blocks, Hadamard
+normalization negates columns and rows entry by entry, and a bit matrix
+is transposed one entry at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def fraction_rank(matrix) -> int:
         if rk == m:
             break
     return rk
+
+
+def point_columns(masks, n: int) -> list[int]:
+    """Column p of the 0/1 matrix whose row j is the bits of masks[j]: the
+    int whose bit j is bit p of masks[j], read one entry at a time."""
+    return [sum(1 << j for j, mask in enumerate(masks) if mask >> p & 1) for p in range(n)]
 
 
 def rank_mod_p(matrix, p: int) -> int:

@@ -3,7 +3,9 @@ verify` and family JSON agree with each other and with the oracles on
 random families (n <= 12, t <= 8, and n <= 6 with t up to 16 or with a
 forced rank deficiency); the packed rank kernel agrees with elimination
 mod p for p = 2^2 - 1, 2^13 - 1 and 2^127 - 1 on 0/1 matrices of up to
-70 rows and 63 columns, forced deficiencies included; the bit-parallel
+70 rows and 63 columns, forced deficiencies included; the bit-matrix
+transpose agrees with an entry-by-entry one on up to 130 rows and 70
+columns, wide, square and tall; the bit-parallel
 H H^T = nI and design-axiom checks agree with the plain loops in the
 oracles on random and perturbed matrices and designs; a relabelled
 candidate graph equals a fresh count in its order, under both oracles'
@@ -47,6 +49,7 @@ from pifam import (
     paley1,
     paley_orders,
     projective_plane,
+    setsys,
     sylvester,
     sylvester_orders,
     violations,
@@ -59,6 +62,7 @@ from oracles import (
     hadamard_gram_violation,
     independent_masks,
     normalized_blocks,
+    point_columns,
     rank_mod_p,
 )
 
@@ -152,6 +156,20 @@ def test_packed_rank_kernel_matches_elimination_mod_p(rows):
     matrix = [[m >> i & 1 for i in range(n)] for m in masks]
     for bits in (2, 13, 127):
         assert exactlin._rank_mod_p(masks, n, bits) == rank_mod_p(matrix, (1 << bits) - 1)
+
+
+@pytest.mark.parametrize("shape", ["any", 63, 64, 65, 129, "wide"])
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data())
+def test_point_columns_is_the_transpose(shape, data):
+    # any 0-130 rows on 0-70 columns; row counts at and next to the sides
+    # 64 and 128 of a padded square, or past them, where rows are stacked;
+    # fewer rows than columns, as in the rank pass on B^T when t < n
+    n = data.draw(st.integers(1 if shape == "wide" else 0, 70))
+    m = data.draw(st.integers(0, 130 if shape == "any" else n - 1)) if isinstance(shape, str) else shape
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    assert setsys._point_columns(masks, n) == point_columns(masks, n)
+    assert setsys._point_columns([], n) == [0] * n
 
 
 # no candidates, and lengths at and next to the padded square's sides 1, 2, 64 and 128

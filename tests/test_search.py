@@ -188,6 +188,20 @@ def test_max_clique_refuses_an_upper_bound_that_is_not_an_int(bound):
     assert len(str(err.value)) < 200
 
 
+@pytest.mark.parametrize("seed, message", [
+    (5, "^seed_clique must be a list of vertices, got 5$"),
+    (0, "^seed_clique must be a list of vertices, got 0$"),
+    ([[1]], r"^seed vertex \[1\] is not a vertex of this graph$"),
+    ([{1}], r"^seed vertex \{1\} is not a vertex of this graph$"),
+], ids=["int", "zero", "list-item", "set-item"])
+def test_a_malformed_seed_clique_is_refused(seed, message):
+    # not iterable, or holding unhashable items: a ParameterError that quotes
+    # the value, never a bare TypeError; 0 is no stand-in for None
+    with pytest.raises(ParameterError, match=message) as err:
+        max_clique(PowerSetGraphOracle(SampleSpace(4)), seed_clique=seed)
+    assert len(str(err.value)) < 200
+
+
 def test_max_clique_rejects_bad_seeds():
     oracle = PowerSetGraphOracle(SampleSpace(4))
     with pytest.raises(ParameterError):
@@ -372,18 +386,26 @@ def test_johnson_edge_root_without_candidates_builds_nothing(monkeypatch, key):
 ], ids=["g8", "g12", "j11-4-2", "j14-10-7"])
 def test_build_graph_counts_intersections_once(monkeypatch, oracle):
     # the degeneracy order is read off the one count, whose rows are then
-    # relabelled, not counted again
-    count = pifam.graphs._intersection_graph
-    calls = []
+    # relabelled, not counted again; one transpose each gives the
+    # candidates' point columns, the degree slices and the relabelled rows
+    count, transpose = pifam.graphs._intersection_graph, pifam.graphs._point_columns
+    calls, transposes = [], []
 
     def counted(cand, meet):
         calls.append(len(cand))
         return count(cand, meet)
 
+    def transposed(masks, n):
+        transposes.append((len(masks), n))
+        return transpose(masks, n)
+
     monkeypatch.setattr(pifam.graphs, "_intersection_graph", counted)
+    monkeypatch.setattr(pifam.graphs, "_point_columns", transposed)
     root = oracle.roots()[0]
     graph = oracle.build_graph(root)
-    assert calls == [len(graph.cand)] and graph.cand
+    m = len(graph.cand)
+    assert calls == [m] and graph.cand
+    assert transposes == [(m, max(graph.cand).bit_length()), (m, m.bit_length()), (m, m)]
 
 
 # node counts and witnesses of the search order: a relabel that changes the
