@@ -323,7 +323,12 @@ def _json_object(data: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
 
 def _point_lists(data: Any, key: str, n: int, limit: int) -> list[int]:
     """Masks on 1..n of the point lists in JSON field `key` ("events" or "blocks"),
-    whose count is refused past `limit` before any item is read."""
+    whose count is refused past `limit` before any item is read.
+
+    A point is read with one exact type test and one range test (JSON yields
+    no int subclass); at the first point that fails them, the item goes
+    through `points_to_mask`, which gives the mask of an int subclass and
+    the error, word for word, of anything else."""
     if not isinstance(data, list):
         raise ParameterError(f'JSON field "{key}" must be a list of point lists')
     if len(data) > limit:
@@ -332,7 +337,12 @@ def _point_lists(data: Any, key: str, n: int, limit: int) -> list[int]:
     for item in data:
         if not isinstance(item, list):
             raise ParameterError(f"{key[:-1]} {_shown(item)} is not a list of points")
-        mask = points_to_mask(item, n)
+        mask = 0
+        for p in item:
+            if type(p) is not int or not 0 < p <= n:
+                mask = points_to_mask(item, n)
+                break
+            mask |= 1 << p - 1
         if mask.bit_count() != len(item):
             raise ParameterError(f"{key[:-1]} {_shown(item)} repeats a sample point")
         masks.append(mask)

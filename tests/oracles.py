@@ -5,8 +5,10 @@ textbook Gaussian elimination on lists of rationals or of ints mod a
 prime, clique numbers through networkx, the independence relation is
 restated from scratch, the H H^T = nI and design-axiom checks are the
 plain loops over row pairs, point pairs and blocks, Hadamard
-normalization negates columns and rows entry by entry, and a bit matrix
-is transposed one entry at a time.
+normalization negates columns and rows entry by entry, a bit matrix
+is transposed one entry at a time, and the search's vertex orders are
+restated on neighbour lists: the degeneracy peel with a degree per
+vertex, and first-fit coloring one vertex at a time.
 """
 
 from __future__ import annotations
@@ -145,6 +147,34 @@ def brute_max_clique(matrix) -> int:
             graph.add_edge(i, j)
     _, size = nx.max_weight_clique(graph, weight=None)
     return size
+
+
+def degeneracy_order(adj) -> list[int]:
+    """Reverse of the peel that removes a live vertex of least degree among
+    the live vertices, ties to the smallest index; rows are neighbour bitsets."""
+    nbrs = [[j for j in range(len(adj)) if row >> j & 1] for row in adj]
+    degree = [len(ns) for ns in nbrs]
+    alive = set(range(len(adj)))
+    peel = []
+    while alive:
+        v = min(alive, key=lambda u: (degree[u], u))
+        alive.remove(v)
+        peel.append(v)
+        for u in nbrs[v]:
+            degree[u] -= 1
+    return peel[::-1]
+
+
+def greedy_coloring(p: int, adj) -> tuple[list[int], list[int]]:
+    """First-fit coloring of the vertices in bitset p, in index order: each
+    vertex takes the least color no earlier neighbour has.  Returns the
+    vertices sorted by (color, index) and their colors."""
+    color: dict[int, int] = {}
+    for v in (v for v in range(p.bit_length()) if p >> v & 1):
+        used = {color[u] for u in color if adj[v] >> u & 1}
+        color[v] = next(c for c in itertools.count(1) if c not in used)
+    order = sorted(color, key=lambda v: (color[v], v))
+    return order, [color[v] for v in order]
 
 
 def hadamard_gram_violation(rows) -> str | None:

@@ -10,7 +10,9 @@ H H^T = nI and design-axiom checks agree with the plain loops in the
 oracles on random and perturbed matrices and designs; a relabelled
 candidate graph equals a fresh count in its order, under both oracles'
 intersection rules, on lists whose length is at or next to a power of
-two, where the transpose pads to a square; Hadamard designs
+two, where the transpose pads to a square; the degeneracy order and the
+greedy coloring of the search agree with plain restatements on random
+graphs of up to 130 vertices, empty, sparse, dense and complete; Hadamard designs
 and families do not change under row and column negations of the
 generator matrices.
 
@@ -22,6 +24,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -49,6 +52,7 @@ from pifam import (
     paley1,
     paley_orders,
     projective_plane,
+    search,
     setsys,
     sylvester,
     sylvester_orders,
@@ -57,8 +61,10 @@ from pifam import (
 from pifam.cli import main
 
 from oracles import (
+    degeneracy_order,
     design_check_fields,
     fraction_rank,
+    greedy_coloring,
     hadamard_gram_violation,
     independent_masks,
     normalized_blocks,
@@ -199,6 +205,35 @@ def test_relabelled_graph_equals_a_recount(m, data):
         assert graph.adj == graphs._intersection_graph(graph.cand, meet)
         edges = {(i, j) for i, row in enumerate(graph.adj) for j in range(row.bit_length()) if row >> j & 1}
         assert all(i != j and (j, i) in edges for i, j in edges)
+
+
+@st.composite
+def random_graphs(draw):
+    """Adjacency bitsets of a graph on 0 <= m <= 130 vertices, each edge kept
+    with a drawn probability from none to all, by a drawn seed."""
+    m = draw(st.integers(0, 130))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 0.95, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adj = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+@settings(PROPERTY, max_examples=40)
+@given(random_graphs())
+def test_degeneracy_order_is_the_least_degree_peel(adj):
+    assert graphs._degeneracy_permutation(adj) == degeneracy_order(adj)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(random_graphs(), st.data())
+def test_color_sort_is_first_fit_in_index_order(adj, data):
+    full = (1 << len(adj)) - 1
+    p = data.draw(st.just(full) | st.integers(0, full))
+    assert search._color_sort(p, [full ^ row for row in adj]) == greedy_coloring(p, adj)
 
 
 @PROPERTY

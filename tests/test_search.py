@@ -408,6 +408,42 @@ def test_build_graph_counts_intersections_once(monkeypatch, oracle):
     assert transposes == [(m, max(graph.cand).bit_length()), (m, m.bit_length()), (m, m)]
 
 
+@pytest.mark.parametrize("call, reorders", [
+    (lambda: g_exact(4, "search"), False),
+    (lambda: g_exact(8, "search"), False),
+    (lambda: f_exact(8, "search"), False),
+    (lambda: g_exact(9, "search"), True),
+    (lambda: g_exact(12, "search"), True),
+    (lambda: johnson_omega(10, 4, 2), True),
+    (lambda: johnson_omega(11, 4, 2), True),
+], ids=["g4", "g8", "f8", "g9", "g12", "j10-4-2", "j11-4-2"])
+def test_a_first_descent_that_meets_the_bound_skips_the_reorder(monkeypatch, call, reorders):
+    # at 4 and 8 the first root's first descent meets g(n) <= n; elsewhere it
+    # falls short and the root is reordered and searched in full
+    peel = pifam.graphs._degeneracy_permutation
+    calls = []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return peel(adj)
+
+    monkeypatch.setattr(pifam.graphs, "_degeneracy_permutation", counted)
+    result = call()
+    assert result.optimal and bool(calls) == reorders
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_first_descent_graph_is_a_clique_that_completes_its_root(n):
+    oracle = PowerSetGraphOracle(SampleSpace(n))
+    root = oracle.roots()[0]
+    need = n - len(root)
+    graph = oracle.build_graph(root, need)
+    assert len(graph.cand) == need and set(graph.cand) <= set(oracle.candidates(root))
+    assert graph.adj == [((1 << need) - 1) ^ 1 << i for i in range(need)]
+    assert is_valid_g_family(Family.from_masks(n, [*root, *graph.cand]))
+    assert len(oracle.build_graph(root, need + 1).cand) == len(list(oracle.candidates(root)))
+
+
 # node counts and witnesses of the search order: a relabel that changes the
 # order of the candidates or of their rows changes them
 SEARCH_ORDER_PINS = [

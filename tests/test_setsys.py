@@ -21,7 +21,7 @@ from pifam import (
     probability,
     violations,
 )
-from pifam.setsys import MAX_EVENTS
+from pifam.setsys import MAX_EVENTS, _point_lists
 
 
 def test_sample_space_bounds():
@@ -205,3 +205,25 @@ def test_family_json_round_trip():
 def test_family_from_dict_rejects_malformed(data):
     with pytest.raises(ParameterError):
         family_from_dict(data)
+
+
+class Point(int):
+    """An int subclass, which JSON never yields but a caller may pass."""
+
+
+@pytest.mark.parametrize("item", [
+    [], [1, 2, 4], [Point(3), 1], [1, True], [2, 3.0], [1, "2"], [None], [0], [1, 5], [4, -1],
+    [3, 10 ** 5000], [1, 2, 3, 4], [2, 2],
+])
+def test_point_lists_read_each_item_as_points_to_mask_does(item):
+    # the one-test fast path gives the same mask, and the same error word for word
+    def outcome(read):
+        try:
+            return read()
+        except ParameterError as err:
+            return str(err)
+
+    expected = outcome(lambda: [points_to_mask(item, 4)])
+    if isinstance(expected, list) and expected[0].bit_count() != len(item):
+        expected = f"event {item!r} repeats a sample point"
+    assert outcome(lambda: _point_lists([item], "events", 4, 1)) == expected
