@@ -44,9 +44,9 @@ from .setsys import (
 MAX_ORDER = 64  # largest Hadamard order any generator emits
 # Largest block list a design file may hold (the package's own have b <= 63).
 # Reading costs O(sum |B|) steps, check_design O(b + v^2 b / 64) word ops; at
-# v = 63, `pifam design check` takes 1.0-1.3 s on 2^16 full blocks (0.4 s of
-# it in json.load) and 0.22-0.27 s on 2^16 two-point blocks (Python 3.11.7,
-# shared 2-vCPU host, whole process); no accepted file takes longer.
+# v = 63, `pifam design check` takes 0.8-0.9 s on 2^16 full blocks (0.35 s of
+# it reading points into masks) and 0.13 s on 2^16 two-point blocks (Python
+# 3.11.7, shared 2-vCPU host, whole process); no accepted file takes longer.
 MAX_BLOCKS = 1 << 16
 
 

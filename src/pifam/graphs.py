@@ -250,7 +250,7 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
     def build_graph(self, prefix: tuple[int, ...] = (), need: int | None = None) -> _BuiltGraph:
         """The graph on `candidates(prefix)`, or a first descent of `need` of them."""
         cand = list(self.candidates(prefix))
-        return _ordered(cand, self._meet) if need is None else _ordered(cand, self._meet, need)
+        return _ordered(cand, self._meet, need)
 
 
 class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
@@ -350,4 +350,4 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
     def build_graph(self, prefix: tuple[int, ...] = (), need: int | None = None) -> _BuiltGraph:
         """The graph on `candidates(prefix)`, or a first descent of `need` of them."""
         cand, meet = list(self.candidates(prefix)), lambda a, b: self.s
-        return _ordered(cand, meet) if need is None else _ordered(cand, meet, need)
+        return _ordered(cand, meet, need)

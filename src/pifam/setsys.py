@@ -66,14 +66,17 @@ def _checked(typename: str, fields: str) -> type:
 
 
 def points_to_mask(points: Iterable[int], n: int) -> int:
-    """Bitmask of a collection of 1-indexed sample points."""
+    """Bitmask of a collection of 1-indexed sample points.
+
+    An exact int, all that JSON yields, passes on one type test; anything
+    else goes through `_is_int`, which also takes an int subclass."""
     mask = 0
     for p in points:
-        if not _is_int(p):
+        if type(p) is not int and not _is_int(p):
             raise ParameterError(f"sample point {_shown(p)} is not an integer")
-        if not 1 <= p <= n:
+        if not 0 < p <= n:
             raise ParameterError(f"sample point {_shown(p)} outside 1..{n}")
-        mask |= 1 << (p - 1)
+        mask |= 1 << p - 1
     return mask
 
 
@@ -323,12 +326,7 @@ def _json_object(data: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
 
 def _point_lists(data: Any, key: str, n: int, limit: int) -> list[int]:
     """Masks on 1..n of the point lists in JSON field `key` ("events" or "blocks"),
-    whose count is refused past `limit` before any item is read.
-
-    A point is read with one exact type test and one range test (JSON yields
-    no int subclass); at the first point that fails them, the item goes
-    through `points_to_mask`, which gives the mask of an int subclass and
-    the error, word for word, of anything else."""
+    whose count is refused past `limit` before any item is read."""
     if not isinstance(data, list):
         raise ParameterError(f'JSON field "{key}" must be a list of point lists')
     if len(data) > limit:
@@ -337,12 +335,7 @@ def _point_lists(data: Any, key: str, n: int, limit: int) -> list[int]:
     for item in data:
         if not isinstance(item, list):
             raise ParameterError(f"{key[:-1]} {_shown(item)} is not a list of points")
-        mask = 0
-        for p in item:
-            if type(p) is not int or not 0 < p <= n:
-                mask = points_to_mask(item, n)
-                break
-            mask |= 1 << p - 1
+        mask = points_to_mask(item, n)
         if mask.bit_count() != len(item):
             raise ParameterError(f"{key[:-1]} {_shown(item)} repeats a sample point")
         masks.append(mask)

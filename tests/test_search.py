@@ -320,9 +320,9 @@ def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
     unordered = []
     ordered = pifam.graphs._ordered
 
-    def recorded(cand, meet):
+    def recorded(cand, meet, need=None):
         unordered.append(list(cand))
-        return ordered(cand, meet)
+        return ordered(cand, meet, need)
 
     monkeypatch.setattr(pifam.graphs, "_ordered", recorded)
     for root in roots or oracle.roots():

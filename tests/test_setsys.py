@@ -216,7 +216,7 @@ class Point(int):
     [3, 10 ** 5000], [1, 2, 3, 4], [2, 2],
 ])
 def test_point_lists_read_each_item_as_points_to_mask_does(item):
-    # the one-test fast path gives the same mask, and the same error word for word
+    # each item gives the mask of points_to_mask, or its error word for word
     def outcome(read):
         try:
             return read()
