@@ -1,22 +1,19 @@
 """Graph oracles for the clique searches, and their candidate graphs.
 
-An oracle defines a graph on events, stored as point bitmasks, and its
-adjacency, and names its roots: forced clique prefixes, one per orbit of
-a symmetry group of the graph, such that some maximum clique is the
-image of a clique through some root.  The proofs are in the docstrings of
-the oracles' `roots`.  `candidates(root)` generates that root's
-candidates, the vertices adjacent to the whole prefix, directly by
-intersection size, not by filtering a larger set: the power-set oracle
+An oracle is a graph on events, stored as point bitmasks, behind the one
+protocol that `search.max_clique` reads.  `roots()` names forced clique
+prefixes, one per orbit of a symmetry group of the graph, such that some
+maximum clique is the image of a clique through some root (proofs in the
+oracles' `roots`).  `candidates(root)` generates the vertices adjacent to
+every event of a root directly by intersection size: the power-set oracle
 from the points inside and outside the root's last event, the Johnson
-oracle from the four cells of its edge root (v0, v1) -- v0∩v1, v0 - v1,
-v1 - v0 and the rest -- in the lexicographic order that filtering every
-neighbour of v0 would give.  `build_graph(root)` builds only their
-graph: adjacency rows from one bit-sliced intersection count, relabelled
-into reverse degeneracy order.  The count, the degree slices and the
-relabel transpose through `setsys._point_columns`.  A root with no
-candidates builds nothing.  `build_graph(root, need)` first follows the
-count's first descent and, when that alone has `need` members, returns
-it as a complete graph with no reorder.
+oracle from the four cells of its edge root (v0, v1), in the order that
+filtering every neighbour of v0 would give.  `meet(a, b)` is the
+intersection size that joins events of sizes a and b, or None.
+`build_graph(cand)` builds the graph on candidates already generated: one
+bit-sliced intersection count, relabelled into reverse degeneracy order,
+each step transposed through `setsys._point_columns`.  `adjacent(a, b)`
+and `contains_vertex(v)` check seeds and witnesses apart from the search.
 """
 
 from __future__ import annotations
@@ -34,9 +31,7 @@ class _BuiltGraph(NamedTuple):
     adj: list[int]   # adjacency bitsets over cand indices
 
 
-def _ordered(
-    cand: list[int], meet: Callable[[int, int], int | None], need: int | None = None
-) -> _BuiltGraph:
+def _ordered(cand: list[int], meet: Callable[[int, int], int | None]) -> _BuiltGraph:
     """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order.
 
     Its adjacency A is counted once, in the order of `cand`, and relabelled
@@ -44,26 +39,9 @@ def _ordered(
     counted again.  A is symmetric (so is `meet`) and irreflexive (the count
     clears the diagonal), so (P·A)ᵀ = A·Pᵀ and P·A·Pᵀ = P·(P·A)ᵀ: row i of
     the result is column perm[i] of the rows [adj[v] for v in perm], which
-    a fresh count would give too.  An empty `cand` returns at once.
-
-    With `need`, the first descent of A comes first: take the lowest-indexed
-    vertex left, keep only its neighbours, repeat.  Each vertex taken is
-    adjacent to every later one, so the descent is a clique, found in one
-    bitset step per member; when it reaches `need` members it is returned
-    alone, as the complete graph on them in descent order, with no reorder.
+    a fresh count would give too.
     """
-    if not cand:
-        return _BuiltGraph([], [])
     adj = _intersection_graph(cand, meet)
-    if need is not None:
-        clique, left = [], (1 << len(cand)) - 1
-        while left and len(clique) < need:
-            v = (left & -left).bit_length() - 1
-            clique.append(cand[v])
-            left &= adj[v]
-        if len(clique) == need:
-            full = (1 << need) - 1
-            return _BuiltGraph(clique, [full ^ 1 << i for i in range(need)])
     perm = _degeneracy_permutation(adj)
     cols = _point_columns([adj[v] for v in perm], len(perm))
     return _BuiltGraph([cand[v] for v in perm], [cols[v] for v in perm])
@@ -182,7 +160,7 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
             return False
         return self.space.n * (a & b).bit_count() == a.bit_count() * b.bit_count()
 
-    def _meet(self, a: int, b: int) -> int | None:
+    def meet(self, a: int, b: int) -> int | None:
         """The intersection size that makes events of sizes a and b independent."""
         n = self.space.n
         return None if a * b % n else a * b // n
@@ -227,30 +205,25 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
         top = 1 << (n - 1)
         return [(full, top | (1 << (a - 1)) - 1) for a in range(n // 2, 0, -1)] or [(full,)]
 
-    def candidates(self, prefix: tuple[int, ...] = ()) -> Iterator[int]:
-        """Every vertex for an empty prefix, else the candidates of a root
-        from `roots()`: with v its last event, the events containing point
-        n of each size b with n | |v|b, made of w - 1 points of v - {n} and
-        b - w points outside v, where w = |v|b/n; of the core sizes b only
-        (n | b²) when |v| is one (proof in `roots`)."""
+    def candidates(self, root: tuple[int, ...]) -> Iterator[int]:
+        """The candidates of a root from `roots()`: with v its last event,
+        the events containing point n of each size b with n | |v|b, made of
+        w - 1 points of v - {n} and b - w points outside v, where
+        w = |v|b/n; of the core sizes b only (n | b²) when |v| is one
+        (proof in `roots`)."""
         n = self.space.n
         if 1 << n > MAX_VERTICES:
             raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
-        full = self.space.full_mask
-        if not prefix:
-            yield from filter(self.contains_vertex, range(1, full + 1))
-            return
-        v, top = prefix[-1], 1 << (n - 1)
+        v, top, full = root[-1], 1 << (n - 1), self.space.full_mask
         a = v.bit_count()
         for b in range(1, n):
-            w = self._meet(a, b)
+            w = self.meet(a, b)
             if w is not None and (a * a % n or b * b % n == 0):
                 yield from (top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w))
 
-    def build_graph(self, prefix: tuple[int, ...] = (), need: int | None = None) -> _BuiltGraph:
-        """The graph on `candidates(prefix)`, or a first descent of `need` of them."""
-        cand = list(self.candidates(prefix))
-        return _ordered(cand, self._meet, need)
+    def build_graph(self, cand: list[int]) -> _BuiltGraph:
+        """The graph on `cand`, candidates of one root."""
+        return _ordered(cand, self.meet)
 
 
 class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
@@ -306,18 +279,21 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
             return [(v0,)]
         return [(v0, (1 << self.s) - 1 | ((1 << (self.r - self.s)) - 1) << self.r)]
 
-    def candidates(self, prefix: tuple[int, ...] = ()) -> Iterator[int]:
-        """Every vertex for an empty prefix, else the common neighbours of
-        the prefix, generated from the four cells of its first two sets.
+    def meet(self, a: int, b: int) -> int:
+        """The intersection size of two adjacent r-sets: s."""
+        return self.s
 
-        With v0, v1 the first two prefix sets (v1 = v0 for a vertex root),
+    def candidates(self, root: tuple[int, ...]) -> Iterator[int]:
+        """The common neighbours of a root from `roots()`, generated from
+        the four cells of its sets.
+
+        With v0, v1 the sets of the root (v1 = v0 for a vertex root),
         an r-set m meets both in s points exactly when it is an s-subset A
         of v0, plus k = s - |A∩v1| points of v1 - v0, plus r - s - k points
         outside v0 ∪ v1: |m∩v0| = |A| = s and |m∩v1| = |A∩v1| + k = s.  Each
         such m arises once, from A = m∩v0, so no neighbour of v0 is
         generated only to be rejected.  No part fits when k > r - s.  The
-        parts depend on A through k alone and are listed once per k.  Sets
-        after the second are still checked one by one.
+        parts depend on A through k alone and are listed once per k.
 
         Order: A runs over the s-subsets of v0 in lexicographic order, and
         for each A the parts run over the k-subsets of v1 - v0, then the
@@ -326,15 +302,10 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
         a part's first k points decide its place, and this is the
         lexicographic order of the (r - s)-subsets outside v0 that meet v1
         in k: the same order as filtering every neighbour of v0 against v1,
-        so the search's node counts and witnesses follow from either.  For
-        other prefixes the set is the same, the order may differ.
+        so the search's node counts and witnesses follow from either.
         """
         full = (1 << self.n) - 1
-        if not prefix:
-            yield from _choose(0, 0, full, self.r)
-            return
-        v0, rest = prefix[0], prefix[2:]
-        v1 = prefix[1] if len(prefix) > 1 else v0  # a vertex root
+        v0, v1 = root[0], root[-1]  # v1 = v0 for a vertex root
         s, t = self.s, self.r - self.s
         parts: dict[int, list[int]] = {}  # k -> the masks of k points of v1 - v0 and t - k outside
         for a in itertools.combinations(_bits(v0), s):
@@ -342,12 +313,8 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
             k = s - (base & v1).bit_count()
             if k not in parts:
                 parts[k] = list(_choose(v1 & ~v0, k, full & ~(v0 | v1), t - k))
-            kept: Iterator[int] = map(base.__or__, parts[k])
-            if rest:
-                kept = (m for m in kept if all((m & u).bit_count() == s for u in rest))
-            yield from kept
+            yield from map(base.__or__, parts[k])
 
-    def build_graph(self, prefix: tuple[int, ...] = (), need: int | None = None) -> _BuiltGraph:
-        """The graph on `candidates(prefix)`, or a first descent of `need` of them."""
-        cand, meet = list(self.candidates(prefix)), lambda a, b: self.s
-        return _ordered(cand, meet, need)
+    def build_graph(self, cand: list[int]) -> _BuiltGraph:
+        """The graph on `cand`, candidates of one root."""
+        return _ordered(cand, self.meet)

@@ -147,17 +147,20 @@ def max_clique(
     returning, independently of the search internals; a seed witness was
     already checked pair by pair on the way in.
 
-    A root that meets the bound by itself builds nothing.  A root one
-    event short of the bound takes the first of `oracle.candidates(root)`
-    as its one node and builds no graph: every candidate is adjacent to
-    every event of its root by construction, so the root plus any one
-    candidate is a clique of the bound's size.  Any other root under a
-    bound asks `oracle.build_graph(root, need)` for the `need` events it
-    lacks, and gets back the first descent of its candidates alone, as a
-    complete graph walked in `need` nodes, whenever that descent has
-    `need` members: the root plus the descent is then a clique that meets
-    a proven bound, so it is maximum, and the reorder and the full search
-    are skipped.
+    A root that meets the bound by itself reads no candidate.  Under a
+    bound, a root `cap` events short follows the first descent of its
+    candidates as it reads them: a candidate joins when it meets, by
+    `oracle.meet`, every one taken before it.  Candidates are adjacent to
+    their whole root, so once the descent has `cap` members the root plus
+    it meets a proven bound: the root is closed in `cap` nodes, with no
+    graph built.  Otherwise the candidates go to `oracle.build_graph` and
+    the branch-and-bound; a root with none builds nothing.  The rule is
+    the bitset descent (take the lowest-indexed vertex left, keep its
+    neighbours, repeat): once v1 < ... < vk are taken, the vertices left
+    are the later ones adjacent to all of them, the lowest of which is the
+    first later candidate the rule takes, and a candidate the rule passes
+    over misses a taken vertex for good.  So both take the same members in
+    the same order.
     """
     if upper_bound is not None and not _is_int(upper_bound):
         raise ParameterError(f"upper_bound must be an integer or None, got {_shown(upper_bound)}")
@@ -193,20 +196,33 @@ def max_clique(
 
     if best and met(len(best)):
         return finish("bound-met-by-seed")
+    meet = oracle.meet
     for root in oracle.roots():
         base = list(root)
         if len(base) > len(best):
             best = base
         if met(len(best)):
             return finish("bound-met-by-search")
-        if upper_bound == len(base) + 1:
-            first = next(oracle.candidates(root), None)
-            if first is not None:
-                nodes += 1
-                best = base + [first]
-        else:
-            cap = None if upper_bound is None else upper_bound - len(base)
-            graph = oracle.build_graph(root, cap)
+        cap = None if upper_bound is None else upper_bound - len(base)  # >= 1: the root is short
+        cand: list[int] = []
+        descent: list[int] = []
+        for x in oracle.candidates(root):
+            cand.append(x)
+            if cap is None:
+                continue
+            a = x.bit_count()
+            for y in descent:
+                if (x & y).bit_count() != meet(a, y.bit_count()):
+                    break
+            else:
+                descent.append(x)
+                if len(descent) == cap:
+                    break
+        if len(descent) == cap:
+            nodes += cap
+            best = base + sorted(descent)
+        elif cand:
+            graph = oracle.build_graph(cand)
             size, bits, used = _branch_and_bound(graph.adj, len(best) - len(base), cap)
             nodes += used
             if len(base) + size > len(best):

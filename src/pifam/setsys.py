@@ -127,6 +127,8 @@ class Event(_checked("Event", "space mask")):
     __slots__ = ()
 
     def __new__(cls, space: SampleSpace, mask: int) -> Event:
+        if not isinstance(space, SampleSpace):
+            raise ParameterError(f"space must be a SampleSpace, got {_shown(space)}")
         if not _is_int(mask):
             raise ParameterError(f"event mask {_shown(mask)} is not an integer")
         if mask < 0 or mask > space.full_mask:
@@ -192,10 +194,14 @@ class Family:
     events: tuple[Event, ...]
 
     def __init__(self, space: SampleSpace, events: Iterable[Event]) -> None:
+        if not isinstance(space, SampleSpace):
+            raise ParameterError(f"space must be a SampleSpace, got {_shown(space)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "events", tuple(events))
         seen: set[int] = set()
         for ev in self.events:
+            if not isinstance(ev, Event):
+                raise ParameterError(f"family member {_shown(ev)} is not an Event")
             if ev.space != space:
                 raise ParameterError("all events of a family must share its sample space")
             if ev.mask in seen:

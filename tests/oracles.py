@@ -83,6 +83,18 @@ def power_set_root_candidates(n: int, root) -> list[int]:
             if m & top and m not in root and all(independent_masks(n, m, u) for u in root)]
 
 
+def greedy_descent(cand, adjacent) -> list:
+    """The first descent of the graph on `cand`, by its definition: take
+    the first vertex left, keep only the later vertices adjacent to it,
+    repeat until none is left."""
+    taken, left = [], list(cand)
+    while left:
+        v = left[0]
+        taken.append(v)
+        left = [u for u in left[1:] if adjacent(u, v)]
+    return taken
+
+
 def brute_g(n: int) -> int:
     """g(n) via networkx max clique on the raw graph of nonempty subsets."""
     return _subset_clique(n, range(1, 1 << n))

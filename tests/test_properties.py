@@ -198,7 +198,7 @@ def candidate_lists(draw, m):
 @given(data=st.data())
 def test_relabelled_graph_equals_a_recount(m, data):
     n, cand, s = data.draw(candidate_lists(m))
-    for meet in PowerSetGraphOracle(SampleSpace(n))._meet, lambda a, b: s:
+    for meet in PowerSetGraphOracle(SampleSpace(n)).meet, lambda a, b: s:
         perm = graphs._degeneracy_permutation(graphs._intersection_graph(cand, meet))
         graph = graphs._ordered(cand, meet)
         assert graph.cand == [cand[v] for v in perm]

@@ -37,6 +37,7 @@ from oracles import (
     brute_g,
     brute_johnson_omega,
     brute_max_clique,
+    greedy_descent,
     johnson_common_neighbours,
     power_set_root_candidates,
 )
@@ -237,31 +238,19 @@ def test_g_exact_oracle_rederivation_small_n():
         assert brute_g(n) == G_VALUES[n] == g_exact(n, "search").size
 
 
-class WholePowerSetGraph(PowerSetGraphOracle):
-    """The same graph with the root reductions switched off."""
-
-    def roots(self):
-        return [()]
-
-
-class WholeJohnsonGraph(JohnsonGraphOracle):
-    def roots(self):
-        return [()]
-
-
 @pytest.mark.parametrize("n", [n for n in sorted(G_VALUES) if n <= 10])
 def test_root_reduction_matches_unreduced_search(n):
-    # complement halving and one root per size class give the clique
-    # number of the whole graph, searched from the empty prefix
-    whole = max_clique(WholePowerSetGraph(SampleSpace(n)))
-    assert whole.size == G_VALUES[n] == g_exact(n, "search").size
+    # complement halving and one root per size class, searched with no
+    # bound, give the clique number of the whole graph, by networkx
+    rooted = max_clique(PowerSetGraphOracle(SampleSpace(n)))
+    assert rooted.size == brute_g(n) == G_VALUES[n] == g_exact(n, "search").size
 
 
 def test_size_quotient_bound_matches_brute_force_for_squarefree_n():
-    # 1 + ν(n) against networkx and the unreduced whole-graph search
+    # 1 + ν(n) against networkx on the whole graph and the rooted search with no bound
     for n in (n for n in SQUAREFREE if n <= 10):
-        whole = max_clique(WholePowerSetGraph(SampleSpace(n))).size
-        assert 1 + len(primes_of(n)) == brute_g(n) == whole == g_exact(n, "search").size
+        rooted = max_clique(PowerSetGraphOracle(SampleSpace(n))).size
+        assert 1 + len(primes_of(n)) == brute_g(n) == rooted == g_exact(n, "search").size
 
 
 @pytest.mark.parametrize("n", [n for n in SQUAREFREE if n <= 16])
@@ -310,25 +299,29 @@ def test_johnson_root_one_short_of_the_bound_takes_the_first_candidate(monkeypat
 @pytest.mark.parametrize("oracle, roots", [
     (PowerSetGraphOracle(SampleSpace(6)), None),
     (PowerSetGraphOracle(SampleSpace(9)), None),
-    (PowerSetGraphOracle(SampleSpace(4)), [()]),
+    (PowerSetGraphOracle(SampleSpace(4)), [(0b1111, 0b1001)]),
     (JohnsonGraphOracle(8, 4, 2), None),
-    (JohnsonGraphOracle(9, 3, 1), [(0b111,), ()]),
+    (JohnsonGraphOracle(9, 3, 1), [(0b111,)]),
 ])
 def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
-    # build_graph reorders exactly what candidates generates, and every
-    # candidate is adjacent to every event of its root
-    unordered = []
-    ordered = pifam.graphs._ordered
+    # with no bound, max_clique hands build_graph exactly what candidates
+    # generates for each root that has any, and build_graph reorders it;
+    # every candidate is adjacent to every event of its root
+    roots = roots or oracle.roots()
+    cands = [list(oracle.candidates(root)) for root in roots]
+    build, built = type(oracle).build_graph, []
 
-    def recorded(cand, meet, need=None):
-        unordered.append(list(cand))
-        return ordered(cand, meet, need)
+    def recorded(self, cand):
+        graph = build(self, cand)
+        built.append((list(cand), graph))
+        return graph
 
-    monkeypatch.setattr(pifam.graphs, "_ordered", recorded)
-    for root in roots or oracle.roots():
-        cand = list(oracle.candidates(root))
-        graph = oracle.build_graph(root)
-        assert unordered.pop() == cand and sorted(graph.cand) == sorted(cand)
+    monkeypatch.setattr(type(oracle), "roots", lambda self: roots)
+    monkeypatch.setattr(type(oracle), "build_graph", recorded)
+    max_clique(oracle)
+    assert [cand for cand, _ in built] == [cand for cand in cands if cand]
+    assert all(sorted(graph.cand) == sorted(cand) for cand, graph in built)
+    for root, cand in zip(roots, cands):
         assert all(oracle.adjacent(c, u) for c in cand for u in root)
 
 
@@ -340,33 +333,6 @@ def test_johnson_root_candidates_equal_the_filtered_neighbours(n):
         oracle = JohnsonGraphOracle(n, r, s)
         for root in oracle.roots():
             assert list(oracle.candidates(root)) == johnson_common_neighbours(n, r, s, root)
-
-
-@pytest.mark.parametrize("n, r, s", [(7, 4, 3), (9, 4, 2), (10, 4, 3), (11, 5, 2), (12, 6, 3), (13, 4, 1)])
-def test_johnson_candidates_of_any_prefix_equal_the_filtered_neighbours(n, r, s):
-    # seeded prefixes on shuffled points, so that the points of v1 - v0
-    # interleave the rest, and with a random r-set w that may meet v0 in
-    # fewer than s points, leaving more than r - s points of w - v0: the
-    # same set as filtering, without repeats, whatever the order
-    rng = random.Random(f"{n}-{r}-{s}")
-    oracle = JohnsonGraphOracle(n, r, s)
-    interleaved = short = 0
-    for _ in range(12):
-        points = rng.sample(range(n), 2 * r - s)
-        v0 = sum(1 << p for p in points[:r])
-        v1 = sum(1 << p for p in points[:s] + points[r:])
-        w = sum(1 << p for p in rng.sample(range(n), r))
-        interleaved += any(p < (v1 & ~v0).bit_length() - 1 for p in range(n) if not (v0 | v1) >> p & 1)
-        short += (v0 & w).bit_count() < s
-        prefixes = [(v0,), (v0, v1), (v0, w), (v0, v1, w)]
-        common = johnson_common_neighbours(n, r, s, (v0, v1))
-        if common:
-            prefixes.append((v0, v1, rng.choice(common)))
-        for prefix in prefixes:
-            got = list(oracle.candidates(prefix))
-            assert sorted(got) == sorted(johnson_common_neighbours(n, r, s, prefix))
-            assert all(oracle.adjacent(c, u) for c in got for u in prefix)
-    assert interleaved and short
 
 
 @pytest.mark.parametrize("key", [(14, 7, 1), (12, 6, 1), (10, 5, 1)])
@@ -401,8 +367,7 @@ def test_build_graph_counts_intersections_once(monkeypatch, oracle):
 
     monkeypatch.setattr(pifam.graphs, "_intersection_graph", counted)
     monkeypatch.setattr(pifam.graphs, "_point_columns", transposed)
-    root = oracle.roots()[0]
-    graph = oracle.build_graph(root)
+    graph = oracle.build_graph(list(oracle.candidates(oracle.roots()[0])))
     m = len(graph.cand)
     assert calls == [m] and graph.cand
     assert transposes == [(m, max(graph.cand).bit_length()), (m, m.bit_length()), (m, m)]
@@ -418,30 +383,69 @@ def test_build_graph_counts_intersections_once(monkeypatch, oracle):
     (lambda: johnson_omega(11, 4, 2), True),
 ], ids=["g4", "g8", "f8", "g9", "g12", "j10-4-2", "j11-4-2"])
 def test_a_first_descent_that_meets_the_bound_skips_the_reorder(monkeypatch, call, reorders):
-    # at 4 and 8 the first root's first descent meets g(n) <= n; elsewhere it
-    # falls short and the root is reordered and searched in full
-    peel = pifam.graphs._degeneracy_permutation
-    calls = []
+    # at 4 and 8 the first root's first descent meets g(n) <= n, so no graph
+    # is built, counted or reordered; elsewhere it falls short and the root
+    # is built, reordered and searched in full
+    calls = set()
 
-    def counted(adj):
-        calls.append(len(adj))
-        return peel(adj)
+    def record(owner, name):
+        kernel = getattr(owner, name)
 
-    monkeypatch.setattr(pifam.graphs, "_degeneracy_permutation", counted)
+        def recorded(*args):
+            calls.add(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    for owner in (PowerSetGraphOracle, JohnsonGraphOracle):
+        record(owner, "build_graph")
+    record(pifam.graphs, "_intersection_graph")
+    record(pifam.graphs, "_degeneracy_permutation")
     result = call()
-    assert result.optimal and bool(calls) == reorders
+    assert result.optimal
+    assert calls == ({"build_graph", "_intersection_graph", "_degeneracy_permutation"} if reorders else set())
 
 
-@pytest.mark.parametrize("n", [4, 8])
-def test_first_descent_graph_is_a_clique_that_completes_its_root(n):
-    oracle = PowerSetGraphOracle(SampleSpace(n))
-    root = oracle.roots()[0]
-    need = n - len(root)
-    graph = oracle.build_graph(root, need)
-    assert len(graph.cand) == need and set(graph.cand) <= set(oracle.candidates(root))
-    assert graph.adj == [((1 << need) - 1) ^ 1 << i for i in range(need)]
-    assert is_valid_g_family(Family.from_masks(n, [*root, *graph.cand]))
-    assert len(oracle.build_graph(root, need + 1).cand) == len(list(oracle.candidates(root)))
+class Built(Exception):
+    """Raised in place of a build; its argument is the candidate list handed over."""
+
+
+def stop_at_build(self, cand):
+    raise Built(list(cand))
+
+
+def check_descents(monkeypatch, oracle):
+    # at every root, each bound the greedy descent of its candidates can
+    # meet closes the root with that many of them, in as many nodes and
+    # with no build; one more hands every candidate to build_graph
+    cls = type(oracle)
+    monkeypatch.setattr(cls, "build_graph", stop_at_build)
+    for root in oracle.roots():
+        cand = list(oracle.candidates(root))
+        descent = greedy_descent(cand, oracle.adjacent)
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "roots", lambda self: [root])
+            for k in range(1, len(descent) + 1):
+                result = max_clique(oracle, upper_bound=len(root) + k)
+                assert (result.witness, result.nodes_explored) == ((*root, *sorted(descent[:k])), k)
+            short = len(root) + len(descent) + 1
+            if cand:
+                with pytest.raises(Built) as handed:
+                    max_clique(oracle, upper_bound=short)
+                assert handed.value.args[0] == cand
+            else:
+                assert max_clique(oracle, upper_bound=short).witness == root
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_power_set_roots_close_by_the_greedy_descent(monkeypatch, n):
+    check_descents(monkeypatch, PowerSetGraphOracle(SampleSpace(n)))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_johnson_roots_close_by_the_greedy_descent(monkeypatch, n):
+    for s, r in itertools.combinations(range(1, n), 2):
+        check_descents(monkeypatch, JohnsonGraphOracle(n, r, s))
 
 
 # node counts and witnesses of the search order: a relabel that changes the
@@ -470,8 +474,8 @@ NOT_SQUAREFREE = [n for n in range(1, pifam.search.SEARCH_MAX_N + 1) if n not in
 class FullCandidatePowerSetGraph(PowerSetGraphOracle):
     """The power-set graph whose roots take every candidate, by the filter in oracles.py."""
 
-    def candidates(self, prefix=()):
-        return iter(power_set_root_candidates(self.space.n, prefix)) if prefix else super().candidates()
+    def candidates(self, root):
+        return iter(power_set_root_candidates(self.space.n, root))
 
 
 @pytest.mark.parametrize("n", range(1, pifam.search.SEARCH_MAX_N + 1))
@@ -514,8 +518,8 @@ def test_a_non_core_root_keeps_every_candidate(monkeypatch, n):
         monkeypatch.setattr(PowerSetGraphOracle, "roots", lambda self: [root])
     assert max_clique(PowerSetGraphOracle(space)).size == 3
     generate = PowerSetGraphOracle.candidates
-    monkeypatch.setattr(PowerSetGraphOracle, "candidates", lambda self, prefix=(): (
-        m for m in generate(self, prefix) if m.bit_count() ** 2 % n == 0))
+    monkeypatch.setattr(PowerSetGraphOracle, "candidates", lambda self, root: (
+        m for m in generate(self, root) if m.bit_count() ** 2 % n == 0))
     assert max_clique(PowerSetGraphOracle(space)).size == 2
 
 
@@ -674,8 +678,9 @@ def test_johnson_omega_matches_networkx(n, r, s):
 
 
 def test_johnson_root_matches_unreduced_search():
+    # the edge root, with the bounds and with none, against networkx on the whole graph
     for key in ((10, 4, 2), (10, 5, 1), (7, 3, 1)):
-        assert johnson_omega(*key).size == max_clique(WholeJohnsonGraph(*key)).size
+        assert johnson_omega(*key).size == max_clique(JohnsonGraphOracle(*key)).size == brute_johnson_omega(*key)
 
 
 class VertexRootJohnsonGraph(JohnsonGraphOracle):
@@ -750,8 +755,8 @@ def test_johnson_oracle_adjacency_needs_two_distinct_vertices():
 
 def test_power_set_oracle_vertex_capacity():
     oracle = PowerSetGraphOracle(SampleSpace(21))
-    with pytest.raises(CapacityError):
-        oracle.build_graph()  # 2^21 subsets exceed the vertex cap
+    with pytest.raises(CapacityError, match=r"2\^21 subsets exceed the 1048576-vertex limit"):
+        next(oracle.candidates(oracle.roots()[0]))
 
 
 def test_implied_f_bound():

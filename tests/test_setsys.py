@@ -7,6 +7,7 @@ import pytest
 
 from pifam import (
     CapacityError,
+    Event,
     Family,
     ParameterError,
     PifamError,
@@ -153,6 +154,16 @@ def test_events_from_two_spaces_are_a_pifam_error():
     for call in (lambda: is_independent(a, b), lambda: a & b, lambda: Family(a.space, (a, b))):
         with pytest.raises(PifamError, match="sample space"):
             call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Family(3, []), "space must be a SampleSpace, got 3"),
+    (lambda: Family(SampleSpace(4), [1]), "family member 1 is not an Event"),
+    (lambda: Event(3, 1), "space must be a SampleSpace, got 3"),
+], ids=["family-space", "family-member", "event-space"])
+def test_a_space_or_member_of_the_wrong_type_is_a_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
 
 
 def test_family_set_equality_keeps_order():
