@@ -448,6 +448,23 @@ def test_johnson_roots_close_by_the_greedy_descent(monkeypatch, n):
         check_descents(monkeypatch, JohnsonGraphOracle(n, r, s))
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_first_descent_graph_is_a_clique_that_completes_its_root(monkeypatch, n):
+    # at 4 and 8 the first root's first descent is a clique of exactly the
+    # n - |root| candidates that g(n) <= n leaves room for, and max_clique
+    # returns root and descent as its witness without building a graph
+    oracle = PowerSetGraphOracle(SampleSpace(n))
+    root = oracle.roots()[0]
+    cand = list(oracle.candidates(root))
+    descent = greedy_descent(cand, oracle.adjacent)
+    assert len(descent) == n - len(root) and set(descent) <= set(cand)
+    assert all(oracle.adjacent(u, v) for u, v in itertools.combinations(descent, 2))
+    assert is_valid_g_family(Family.from_masks(n, [*root, *descent]))
+    monkeypatch.setattr(PowerSetGraphOracle, "build_graph", stop_at_build)
+    result = max_clique(oracle, upper_bound=n)
+    assert result.optimal and result.witness == (*root, *sorted(descent))
+
+
 # node counts and witnesses of the search order: a relabel that changes the
 # order of the candidates or of their rows changes them
 SEARCH_ORDER_PINS = [
