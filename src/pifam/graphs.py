@@ -5,10 +5,9 @@ protocol that `search.max_clique` reads.  `roots()` names forced clique
 prefixes, one per orbit of a symmetry group of the graph, such that some
 maximum clique is the image of a clique through some root (proofs in the
 oracles' `roots`).  `candidates(root)` generates the vertices adjacent to
-every event of a root directly by intersection size: the power-set oracle
-from the points inside and outside the root's last event, the Johnson
-oracle from the four cells of its edge root (v0, v1), in the order that
-filtering every neighbour of v0 would give.  `meet(a, b)` is the
+every event of a root from cells and count vectors: `_masks` takes k_i
+points of cell i for each admitted vector (k_i), over the three cells of
+a power-set root and the four of a Johnson edge root.  `meet(a, b)` is the
 intersection size that joins events of sizes a and b, or None.
 `build_graph(cand)` builds the graph on candidates already generated: one
 bit-sliced intersection count, relabelled into reverse degeneracy order,
@@ -19,11 +18,12 @@ and `contains_vertex(v)` check seeds and witnesses apart from the search.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, NamedTuple
+import math
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .setsys import CapacityError, ParameterError, SampleSpace, _checked, _is_int, _point_columns, _shown
 
-MAX_VERTICES = 1 << 20
+MAX_VERTICES = 1 << 20  # the most candidates one root may build
 
 
 class _BuiltGraph(NamedTuple):
@@ -84,19 +84,34 @@ def _degeneracy_permutation(adj: list[int]) -> list[int]:
 
 def _bits(mask: int) -> list[int]:
     """The one-point masks of `mask`, lowest point first."""
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
-def _choose(inside: int, k_in: int, outside: int, k_out: int) -> Iterator[int]:
-    """Masks made of k_in points of `inside` and k_out points of `outside`,
-    in lexicographic order; none when a count is negative or above its set's size."""
-    if not (0 <= k_in <= inside.bit_count() and 0 <= k_out <= outside.bit_count()):
-        return
-    bits_out = _bits(outside)
-    for a in itertools.combinations(_bits(inside), k_in):
-        base = sum(a)
-        for b in itertools.combinations(bits_out, k_out):
-            yield base + sum(b)
+def _masks(cells: tuple[int, ...], counts: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """The masks with k_i points of cells[i], disjoint point masks, for each
+    count vector (k_i) of `counts` in turn: first cell outermost, each cell's
+    subsets in lexicographic order, none for a k_i above its cell's size.
+
+    A count vector is one orbit of the root's stabilizer, the permutations
+    that keep every cell.  It has Π C(|cell_i|, k_i) masks, so a root of more
+    than MAX_VERTICES is refused (CapacityError) at the first read, before any
+    mask is made.  Only when the cells' 2^points subsets could pass the limit
+    are `counts` listed and counted; otherwise they are read lazily.
+    """
+    bits = [_bits(cell) for cell in cells]
+    if 1 << sum(map(len, bits)) > MAX_VERTICES:
+        counts = list(counts)
+        total = sum(math.prod(map(math.comb, map(len, bits), ks)) for ks in counts)
+        if total > MAX_VERTICES:
+            raise CapacityError(f"a root's {total} candidates exceed the {MAX_VERTICES}-vertex limit")
+    for ks in counts:  # lists: product copies an iterator into a tuple it grows and shrinks
+        parts = [list(map(sum, itertools.combinations(b, k))) for b, k in zip(bits, ks)]
+        yield from map(sum, itertools.product(*parts))
 
 
 def _intersection_graph(
@@ -208,18 +223,16 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
     def candidates(self, root: tuple[int, ...]) -> Iterator[int]:
         """The candidates of a root from `roots()`: with v its last event,
         the events containing point n of each size b with n | |v|b, made of
-        w - 1 points of v - {n} and b - w points outside v, where
-        w = |v|b/n; of the core sizes b only (n | b²) when |v| is one
-        (proof in `roots`)."""
+        w - 1 points of v - {n}, point n and b - w points outside v, where
+        w = |v|b/n: the count vectors (w - 1, 1, b - w) over the cells
+        v - {n}, {n} and the rest; of the core sizes b only (n | b²) when
+        |v| is one (proof in `roots`)."""
         n = self.space.n
-        if 1 << n > MAX_VERTICES:
-            raise CapacityError(f"2^{n} subsets exceed the {MAX_VERTICES}-vertex limit")
-        v, top, full = root[-1], 1 << (n - 1), self.space.full_mask
+        v, top = root[-1], 1 << (n - 1)
         a = v.bit_count()
-        for b in range(1, n):
-            w = self.meet(a, b)
-            if w is not None and (a * a % n or b * b % n == 0):
-                yield from (top | m for m in _choose(v ^ top, w - 1, full ^ v, b - w))
+        counts = ((w - 1, 1, b - w) for b in range(1, n)
+                  if (w := self.meet(a, b)) is not None and (a * a % n or b * b % n == 0))
+        return _masks((v ^ top, top, self.space.full_mask ^ v), counts)
 
     def build_graph(self, cand: list[int]) -> _BuiltGraph:
         """The graph on `cand`, candidates of one root."""
@@ -285,35 +298,21 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
 
     def candidates(self, root: tuple[int, ...]) -> Iterator[int]:
         """The common neighbours of a root from `roots()`, generated from
-        the four cells of its sets.
+        the four cells of its sets, k = 0, 1, ... in turn.
 
-        With v0, v1 the sets of the root (v1 = v0 for a vertex root),
-        an r-set m meets both in s points exactly when it is an s-subset A
-        of v0, plus k = s - |A∩v1| points of v1 - v0, plus r - s - k points
-        outside v0 ∪ v1: |m∩v0| = |A| = s and |m∩v1| = |A∩v1| + k = s.  Each
-        such m arises once, from A = m∩v0, so no neighbour of v0 is
-        generated only to be rejected.  No part fits when k > r - s.  The
-        parts depend on A through k alone and are listed once per k.
-
-        Order: A runs over the s-subsets of v0 in lexicographic order, and
-        for each A the parts run over the k-subsets of v1 - v0, then the
-        (r - s - k)-subsets of the rest.  In the canonical v1 of `roots()`
-        the points of v1 - v0 (bits r..2r-s-1) come before all the rest, so
-        a part's first k points decide its place, and this is the
-        lexicographic order of the (r - s)-subsets outside v0 that meet v1
-        in k: the same order as filtering every neighbour of v0 against v1,
-        so the search's node counts and witnesses follow from either.
+        With v0, v1 the sets of the root (v1 = v0 for a vertex root) and
+        t = r - s, an r-set m meets both in s points exactly when its count
+        vector over the cells v0∩v1, v0 - v1, v1 - v0 and the rest is
+        (s - k, k, k, t - k): counts (c, d, e, f) with c + d = |m∩v0| = s,
+        c + e = |m∩v1| = s and c + d + e + f = r give d = e = s - c.  The
+        counts are at least 0 and the last at most the rest's size, which
+        bounds k; so no neighbour of v0 is generated only to be rejected.
         """
-        full = (1 << self.n) - 1
         v0, v1 = root[0], root[-1]  # v1 = v0 for a vertex root
+        both, rest = v0 & v1, ((1 << self.n) - 1) ^ (v0 | v1)
         s, t = self.s, self.r - self.s
-        parts: dict[int, list[int]] = {}  # k -> the masks of k points of v1 - v0 and t - k outside
-        for a in itertools.combinations(_bits(v0), s):
-            base = sum(a)
-            k = s - (base & v1).bit_count()
-            if k not in parts:
-                parts[k] = list(_choose(v1 & ~v0, k, full & ~(v0 | v1), t - k))
-            yield from map(base.__or__, parts[k])
+        counts = [(s - k, k, k, t - k) for k in range(max(0, t - rest.bit_count()), min(s, t) + 1)]
+        return _masks((both, v0 ^ both, v1 ^ both, rest), counts)
 
     def build_graph(self, cand: list[int]) -> _BuiltGraph:
         """The graph on `cand`, candidates of one root."""

@@ -36,7 +36,7 @@ class CertificateError(PifamError):
     a caller's graph oracle, not bad input."""
 
 
-MAX_POINTS = 63  # an event must fit one machine-width bitmask
+MAX_POINTS = 63  # gram_certify's two-prime rank proof is for n <= 63: 2^129 < (2^13-1)(2^127-1)
 # Largest event list a family file may hold.  `family verify` tests every
 # pair: 256 random events on 63 points take 1.4 s and print 32 000 lines
 # (Python 3.11.7), the budget of construct.MAX_BLOCKS; 512 take 5.7 s.  A

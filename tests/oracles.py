@@ -8,7 +8,8 @@ plain loops over row pairs, point pairs and blocks, Hadamard
 normalization negates columns and rows entry by entry, a bit matrix
 is transposed one entry at a time, and the search's vertex orders are
 restated on neighbour lists: the degeneracy peel with a degree per
-vertex, and first-fit coloring one vertex at a time.
+vertex, and first-fit coloring one vertex at a time.  A root's candidates
+per cell come from filtering every mask on the cells' union.
 """
 
 from __future__ import annotations
@@ -81,6 +82,26 @@ def power_set_root_candidates(n: int, root) -> list[int]:
     top = 1 << (n - 1)
     return [m for m in range(1, 1 << n)
             if m & top and m not in root and all(independent_masks(n, m, u) for u in root)]
+
+
+def cell_points(mask: int, cells) -> tuple[tuple[int, ...], ...]:
+    """The points of `mask` in each of `cells`, one ascending tuple per cell."""
+    return tuple(tuple(p for p in range(cell.bit_length()) if (mask & cell) >> p & 1) for cell in cells)
+
+
+def cell_masks(cells, counts) -> list[int]:
+    """Every mask over the union of the disjoint `cells` whose vector of
+    points per cell is in `counts`, by filtering all masks on the union:
+    ordered by that vector's place in `counts`, then by `cell_points`."""
+    union = sum(cells)
+    points = [p for p in range(union.bit_length()) if union >> p & 1]
+    found = []
+    for chosen in range(1 << len(points)):
+        mask = sum(1 << p for j, p in enumerate(points) if chosen >> j & 1)
+        vector = tuple((mask & cell).bit_count() for cell in cells)
+        if vector in counts:
+            found.append((counts.index(vector), cell_points(mask, cells), mask))
+    return [mask for *_, mask in sorted(found)]
 
 
 def greedy_descent(cand, adjacent) -> list:

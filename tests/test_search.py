@@ -37,6 +37,8 @@ from oracles import (
     brute_g,
     brute_johnson_omega,
     brute_max_clique,
+    cell_masks,
+    cell_points,
     greedy_descent,
     johnson_common_neighbours,
     power_set_root_candidates,
@@ -327,12 +329,39 @@ def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_johnson_root_candidates_equal_the_filtered_neighbours(n):
-    # the same list, order included, as filtering every neighbour of v0;
-    # r < 2s, as in (7,4,3) and (10,4,3), makes some parts impossible
+    # the same list as filtering every neighbour of v0, ordered by k, the
+    # points taken from v0 - v1, then by the points in each cell; a rest
+    # smaller than r - s, as in (7,5,3), rules out the least k
     for s, r in itertools.combinations(range(1, n), 2):
         oracle = JohnsonGraphOracle(n, r, s)
         for root in oracle.roots():
-            assert list(oracle.candidates(root)) == johnson_common_neighbours(n, r, s, root)
+            v0, v1 = root[0], root[-1]
+            cells = (v0 & v1, v0 & ~v1, v1 & ~v0, ((1 << n) - 1) & ~(v0 | v1))
+            expected = sorted(johnson_common_neighbours(n, r, s, root),
+                              key=lambda m: ((m & cells[1]).bit_count(), cell_points(m, cells)))
+            assert list(oracle.candidates(root)) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_masks_are_the_filtered_count_vectors_in_order(monkeypatch, seed):
+    # seeded random disjoint cells, empty ones included, and count vectors,
+    # some above a cell's size: the exact list of the filter; the limit is
+    # the count of masks, refused one below it
+    rng = random.Random(seed)
+    points = rng.sample(range(12), rng.randint(0, 12))
+    cuts = sorted(rng.randint(0, len(points)) for _ in range(rng.randint(0, 3)))
+    cells = tuple(sum(1 << p for p in points[i:j]) for i, j in zip([0, *cuts], [*cuts, len(points)]))
+    vectors = {tuple(rng.randint(0, cell.bit_count() + (rng.random() < 0.1)) for cell in cells)
+               for _ in range(rng.randint(0, 5))}
+    counts = rng.sample(sorted(vectors), len(vectors))
+    expected = cell_masks(cells, counts)
+    for limit in (len(expected), len(expected) - 1):
+        monkeypatch.setattr(pifam.graphs, "MAX_VERTICES", limit)
+        if limit < len(expected):
+            with pytest.raises(CapacityError, match=rf"a root's {len(expected)} candidates exceed the {limit}-"):
+                next(pifam.graphs._masks(cells, counts))
+        else:
+            assert list(pifam.graphs._masks(cells, counts)) == expected
 
 
 @pytest.mark.parametrize("key", [(14, 7, 1), (12, 6, 1), (10, 5, 1)])
@@ -473,8 +502,8 @@ SEARCH_ORDER_PINS = [
     (lambda: g_exact(12, "search"), 12, 10,
      (4095, 2079, 2484, 2505, 2673, 2730, 2886, 3180, 3282, 3363, 3717, 3864)),
     (lambda: johnson_omega(10, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
-    (lambda: johnson_omega(14, 10, 7), 13, 4307,
-     (1023, 7295, 8093, 8163, 11757, 11991, 12091, 13787, 13999, 14197, 14775, 15097, 15183)),
+    (lambda: johnson_omega(14, 10, 7), 13, 4301,
+     (1023, 7295, 8109, 8178, 11758, 12021, 12091, 13817, 14014, 14183, 14775, 15083, 15228)),
 ]
 
 
@@ -770,10 +799,25 @@ def test_johnson_oracle_adjacency_needs_two_distinct_vertices():
     assert not oracle.adjacent(0b00011, 0b100001)  # meets it in point 1, but point 6 is outside {1..5}
 
 
-def test_power_set_oracle_vertex_capacity():
-    oracle = PowerSetGraphOracle(SampleSpace(21))
-    with pytest.raises(CapacityError, match=r"2\^21 subsets exceed the 1048576-vertex limit"):
-        next(oracle.candidates(oracle.roots()[0]))
+def test_power_set_oracle_vertex_capacity(monkeypatch):
+    # at n = 63 the root (Ω, v_31) has no candidate, and (Ω, v_30) those of
+    # sizes 21 and 42, C(29,9)·C(33,11) + C(29,19)·C(33,22) of them: refused
+    # at the first read, before any subset is listed
+    oracle = PowerSetGraphOracle(SampleSpace(63))
+    first, second = oracle.roots()[:2]
+    assert list(oracle.candidates(first)) == []
+    cand = oracle.candidates(second)
+    monkeypatch.setattr(pifam.graphs, "itertools", None)  # listing a subset would fail
+    total = math.comb(29, 9) * math.comb(33, 11) + math.comb(29, 19) * math.comb(33, 22)
+    with pytest.raises(CapacityError, match=f"a root's {total} candidates exceed the 1048576-vertex limit"):
+        next(cand)
+
+
+def test_power_set_search_past_two_to_the_limit_subsets():
+    # 2^21 subsets pass MAX_VERTICES, but no root at n = 21 builds that many
+    result = max_clique(PowerSetGraphOracle(SampleSpace(21)), upper_bound=3)
+    assert (result.size, result.optimal, result.nodes_explored) == (3, True, 1)
+    assert is_valid_g_family(Family.from_masks(21, result.witness))
 
 
 def test_implied_f_bound():
