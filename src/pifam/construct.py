@@ -122,7 +122,7 @@ def sylvester(k: int) -> HadamardMatrix:
     rows: list[list[int]] = [[1]]
     for _ in range(k):
         rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
-    return HadamardMatrix(tuple(tuple(r) for r in rows))
+    return HadamardMatrix(rows)
 
 
 def paley1(q: int) -> HadamardMatrix:
@@ -145,7 +145,7 @@ def paley1(q: int) -> HadamardMatrix:
             else:
                 row.append(1 if (i - j) % q in residues else -1)
         rows.append(row)
-    return HadamardMatrix(tuple(tuple(r) for r in rows))
+    return HadamardMatrix(rows)
 
 
 def sylvester_orders() -> list[int]:
@@ -357,7 +357,7 @@ def hadamard_family(h: HadamardMatrix) -> Family:
     Hadamard matrix of order n: each block of `_normal_blocks` plus the
     point n, then the full space."""
     top = 1 << (h.order - 1)
-    # from_masks refuses orders above 63, past the bitmask limit
+    # from_masks refuses orders above MAX_POINTS
     return _g_witness(h.order, [blk | top for blk in _normal_blocks(h)], "Hadamard family")
 
 

@@ -82,10 +82,11 @@ def _color_sort(p: int, non: list[int]) -> tuple[list[int], list[int]]:
 def _branch_and_bound(
     adj: list[int], lower: int, cap: int | None
 ) -> tuple[int, int, int]:
-    """Largest clique strictly above `lower`, stopping early at `cap`.
+    """Largest clique strictly above `lower`; returns as soon as one meets `cap`.
 
     Returns (best size, best clique bitset, expand calls).  A result of
-    `lower` with an empty bitset means nothing better was found.
+    `lower` with an empty bitset means nothing better was found.  The
+    incumbent grows by one from `lower` < `cap`, so it meets `cap` exactly.
     """
     m = len(adj)
     full = (1 << m) - 1
@@ -93,17 +94,14 @@ def _branch_and_bound(
     best = lower
     best_bits = 0
     nodes = 0
-    done = False
 
-    def expand(size: int, rbits: int, p: int) -> None:
-        nonlocal best, best_bits, nodes, done
+    def expand(size: int, rbits: int, p: int) -> bool:
+        nonlocal best, best_bits, nodes
         nodes += 1
         order, colors = _color_sort(p, non)
         for idx in range(len(order) - 1, -1, -1):
-            if done:
-                return
             if size + colors[idx] <= best:
-                return
+                return False
             v = order[idx]
             bit = 1 << v
             p ^= bit
@@ -111,15 +109,16 @@ def _branch_and_bound(
             if size + 1 > best:
                 best = size + 1
                 best_bits = r2
-                if cap is not None and best >= cap:
-                    done = True
-                    return
+                if best == cap:
+                    return True
             nxt = p & adj[v]
-            if nxt:
-                expand(size + 1, r2, nxt)
+            if nxt and expand(size + 1, r2, nxt):
+                return True
+        return False
 
     if m:
         expand(0, 0, full)
+    del expand  # it refers to itself: a cycle that would hold `adj` and `non`
     return best, best_bits, nodes
 
 
@@ -238,7 +237,7 @@ def _try_hadamard_family(n: int) -> Family | None:
         return None
     try:
         return hadamard_family(hadamard_matrix(n))
-    except CapacityError:  # no generator, or order 64 past the bitmask limit
+    except CapacityError:  # no generator, or order 64 past setsys.MAX_POINTS
         return None
 
 

@@ -101,7 +101,7 @@ class SampleSpace(_checked("SampleSpace", "n")):
         if n < 1:
             raise ParameterError(f"sample space needs at least one point, got n={_shown(n)}")
         if n > MAX_POINTS:
-            raise CapacityError(f"n={_shown(n)} exceeds the {MAX_POINTS}-point bitmask limit")
+            raise CapacityError(f"n={_shown(n)} exceeds the {MAX_POINTS}-point limit")
         return tuple.__new__(cls, (n,))
 
     @property

@@ -1,6 +1,7 @@
 """Branch-and-bound clique search, g/f computation, and the sweep."""
 
 import ast
+import gc
 import itertools
 import math
 import os
@@ -504,14 +505,31 @@ SEARCH_ORDER_PINS = [
     (lambda: johnson_omega(10, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
     (lambda: johnson_omega(14, 10, 7), 13, 4301,
      (1023, 7295, 8109, 8178, 11758, 12021, 12091, 13817, 14014, 14183, 14775, 15083, 15228)),
+    (lambda: g_exact(16, "search"), 16, 14,
+     (65535, 32895, 34730, 39321, 40455, 43745, 44370, 45900, 46260, 52020, 52428, 53970, 54625, 57735,
+      58905, 63530)),
 ]
 
 
 @pytest.mark.parametrize("call, size, nodes, witness", SEARCH_ORDER_PINS,
-                         ids=["g8", "g9", "g12", "j10-4-2", "j14-10-7"])
+                         ids=["g8", "g9", "g12", "j10-4-2", "j14-10-7", "g16"])
 def test_search_order_is_pinned(call, size, nodes, witness):
     result = call()
     assert (result.size, result.optimal, result.nodes_explored, result.witness) == (size, True, nodes, witness)
+
+
+def test_a_search_leaves_no_reference_cycle():
+    # each call reaches the branch-and-bound, whose graph rows must be freed
+    # when it returns, not kept alive in a cycle until the collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        g_exact(9, "search")
+        johnson_omega(10, 4, 2)
+        max_clique(PowerSetGraphOracle(SampleSpace(9)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 NOT_SQUAREFREE = [n for n in range(1, pifam.search.SEARCH_MAX_N + 1) if n not in SQUAREFREE]
@@ -758,7 +776,8 @@ def test_johnson_roots_pins():
     assert len(root) == 2 and (root[0] & root[1]).bit_count() == 2
     assert JohnsonGraphOracle(7, 5, 1).roots() == [(0b11111,)]  # two 5-sets of 7 meet in >= 3
     assert johnson_omega(7, 5, 1).size == 1
-    assert johnson_omega(11, 4, 2).nodes_explored == 10  # 1 793 from the vertex root
+    result = johnson_omega(11, 4, 2)
+    assert (result.size, result.optimal, result.nodes_explored) == (7, True, 10)  # 1 793 nodes from the vertex root
 
 
 @pytest.mark.parametrize("key,value,method", [
