@@ -5,9 +5,14 @@ protocol that `search.max_clique` reads.  `roots()` names forced clique
 prefixes, one per orbit of a symmetry group of the graph, such that some
 maximum clique is the image of a clique through some root (proofs in the
 oracles' `roots`).  `candidates(root)` generates the vertices adjacent to
-every event of a root from cells and count vectors: `_masks` takes k_i
-points of cell i for each admitted vector (k_i), over the three cells of
-a power-set root and the four of a Johnson edge root.  `meet(a, b)` is the
+every event of a root in classes, one iterator of masks per class: `_masks`
+takes k_i points of cell i for each admitted count vector (k_i), over the
+three cells of a power-set root and the four of a Johnson edge root.  A
+class is one count vector, so it is one orbit of the root's stabilizer,
+the permutations of the points that keep every cell, and `max_clique`
+fixes a third vertex per class on that ground.  The classes come in search
+order, generated in it: balanced sizes first (|2b - n| ascending) for the
+power set, the largest class first for Johnson.  `meet(a, b)` is the
 intersection size that joins events of sizes a and b, or None.
 `build_graph(cand)` builds the graph on candidates already generated: one
 bit-sliced intersection count, relabelled into reverse degeneracy order,
@@ -92,10 +97,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _masks(cells: tuple[int, ...], counts: Iterable[tuple[int, ...]]) -> Iterator[int]:
-    """The masks with k_i points of cells[i], disjoint point masks, for each
-    count vector (k_i) of `counts` in turn: first cell outermost, each cell's
-    subsets in lexicographic order, none for a k_i above its cell's size.
+def _masks(cells: tuple[int, ...], counts: Iterable[tuple[int, ...]]) -> Iterator[Iterator[int]]:
+    """One iterator per count vector (k_i) of `counts`, in turn, of the masks
+    with k_i points of cells[i], disjoint point masks: first cell outermost,
+    each cell's subsets in lexicographic order, none for a k_i above its
+    cell's size.
 
     A count vector is one orbit of the root's stabilizer, the permutations
     that keep every cell.  It has Π C(|cell_i|, k_i) masks, so a root of more
@@ -110,8 +116,8 @@ def _masks(cells: tuple[int, ...], counts: Iterable[tuple[int, ...]]) -> Iterato
         if total > MAX_VERTICES:
             raise CapacityError(f"a root's {total} candidates exceed the {MAX_VERTICES}-vertex limit")
     for ks in counts:  # lists: product copies an iterator into a tuple it grows and shrinks
-        parts = [list(map(sum, itertools.combinations(b, k))) for b, k in zip(bits, ks)]
-        yield from map(sum, itertools.product(*parts))
+        parts = [b if k == 1 else list(map(sum, itertools.combinations(b, k))) for b, k in zip(bits, ks)]
+        yield map(sum, itertools.product(*parts))
 
 
 def _intersection_graph(
@@ -220,18 +226,31 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
         top = 1 << (n - 1)
         return [(full, top | (1 << (a - 1)) - 1) for a in range(n // 2, 0, -1)] or [(full,)]
 
-    def candidates(self, root: tuple[int, ...]) -> Iterator[int]:
-        """The candidates of a root from `roots()`: with v its last event,
-        the events containing point n of each size b with n | |v|b, made of
-        w - 1 points of v - {n}, point n and b - w points outside v, where
-        w = |v|b/n: the count vectors (w - 1, 1, b - w) over the cells
-        v - {n}, {n} and the rest; of the core sizes b only (n | b²) when
-        |v| is one (proof in `roots`)."""
+    def candidates(self, root: tuple[int, ...]) -> Iterator[Iterator[int]]:
+        """The candidates of a root from `roots()`, one class per size: with
+        v its last event, the events containing point n of each size b with
+        n | |v|b, made of w - 1 points of v - {n}, point n and b - w points
+        outside v, where w = |v|b/n: the count vectors (w - 1, 1, b - w) over
+        the cells v - {n}, {n} and the rest; of the core sizes b only
+        (n | b²) when |v| is one (proof in `roots`).
+
+        With m = gcd(n, |v|), n | |v|b exactly when d = n/m divides b: the
+        sizes are b = jd for j = 1 .. m - 1, with w = je, e = |v|/m.  Balanced
+        sizes come first, |2b - n| = d|2j - m| ascending, where the
+        Hadamard-type maxima live.  On a tie the larger b comes first: the
+        class of n - b has C(|v| - 1, w)·C(n - |v|, b - w) members,
+        (|v| - w)/w times those of b, more when b < n/2.  The i-th j is
+        (m + i + 1)/2 when m + i is odd and (m - i)/2 when it is even, so the
+        sizes are neither sorted nor tried one by one.
+        """
         n = self.space.n
         v, top = root[-1], 1 << (n - 1)
         a = v.bit_count()
-        counts = ((w - 1, 1, b - w) for b in range(1, n)
-                  if (w := self.meet(a, b)) is not None and (a * a % n or b * b % n == 0))
+        m = math.gcd(n, a)
+        d, e = n // m, a // m
+        counts = ((j * e - 1, 1, j * (d - e)) for i in range(m - 1)
+                  for j in [(m + i + 1) // 2 if (m + i) % 2 else (m - i) // 2]
+                  if a * a % n or (j * d) ** 2 % n == 0)
         return _masks((v ^ top, top, self.space.full_mask ^ v), counts)
 
     def build_graph(self, cand: list[int]) -> _BuiltGraph:
@@ -296,9 +315,9 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
         """The intersection size of two adjacent r-sets: s."""
         return self.s
 
-    def candidates(self, root: tuple[int, ...]) -> Iterator[int]:
+    def candidates(self, root: tuple[int, ...]) -> Iterator[Iterator[int]]:
         """The common neighbours of a root from `roots()`, generated from
-        the four cells of its sets, k = 0, 1, ... in turn.
+        the four cells of its sets, one class per k, the largest first.
 
         With v0, v1 the sets of the root (v1 = v0 for a vertex root) and
         t = r - s, an r-set m meets both in s points exactly when its count
@@ -307,12 +326,17 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
         c + e = |m∩v1| = s and c + d + e + f = r give d = e = s - c.  The
         counts are at least 0 and the last at most the rest's size, which
         bounds k; so no neighbour of v0 is generated only to be rejected.
+        Class k has C(s, k)·C(t, k)²·C(|rest|, t - k) members; the k are
+        taken by that size, descending, ties to the smaller k.
         """
         v0, v1 = root[0], root[-1]  # v1 = v0 for a vertex root
         both, rest = v0 & v1, ((1 << self.n) - 1) ^ (v0 | v1)
-        s, t = self.s, self.r - self.s
-        counts = [(s - k, k, k, t - k) for k in range(max(0, t - rest.bit_count()), min(s, t) + 1)]
-        return _masks((both, v0 ^ both, v1 ^ both, rest), counts)
+        s, t, free = self.s, self.r - self.s, rest.bit_count()
+        ks = range(max(0, t - free), min(s, t) + 1)
+        if len(ks) > 1:  # one class or none, as at J(14,7,1), has no order to take
+            ks = sorted(ks, key=lambda k: math.comb(s, k) * math.comb(t, k) ** 2 * math.comb(free, t - k),
+                        reverse=True)
+        return _masks((both, v0 ^ both, v1 ^ both, rest), ((s - k, k, k, t - k) for k in ks))
 
     def build_graph(self, cand: list[int]) -> _BuiltGraph:
         """The graph on `cand`, candidates of one root."""

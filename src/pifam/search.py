@@ -146,20 +146,38 @@ def max_clique(
     returning, independently of the search internals; a seed witness was
     already checked pair by pair on the way in.
 
-    A root that meets the bound by itself reads no candidate.  Under a
-    bound, a root `cap` events short follows the first descent of its
-    candidates as it reads them: a candidate joins when it meets, by
-    `oracle.meet`, every one taken before it.  Candidates are adjacent to
-    their whole root, so once the descent has `cap` members the root plus
-    it meets a proven bound: the root is closed in `cap` nodes, with no
-    graph built.  Otherwise the candidates go to `oracle.build_graph` and
-    the branch-and-bound; a root with none builds nothing.  The rule is
-    the bitset descent (take the lowest-indexed vertex left, keep its
-    neighbours, repeat): once v1 < ... < vk are taken, the vertices left
-    are the later ones adjacent to all of them, the lowest of which is the
-    first later candidate the rule takes, and a candidate the rule passes
-    over misses a taken vertex for good.  So both take the same members in
-    the same order.
+    A root that meets the bound by itself reads no candidate.  A root
+    `cap` events short of the bound (no cap without one) follows the first
+    descent of its candidates as it reads them: a candidate joins when it
+    meets, by `oracle.meet`, every one taken before it.  Candidates are
+    adjacent to their whole root, so once the descent has `cap` members the
+    root plus it meets a proven bound: the root is closed in `cap` nodes,
+    with no graph built.  The rule is the bitset descent (take the
+    lowest-indexed vertex left, keep its neighbours, repeat): once
+    v1 < ... < vk are taken, the vertices left are the later ones adjacent
+    to all of them, the lowest of which is the first later candidate the
+    rule takes, and a candidate the rule passes over misses a taken vertex
+    for good.  So both take the same members in the same order.
+
+    A descent that falls short is still a clique, and becomes the
+    incumbent when it is longer.  Then the root's classes are searched in
+    the order `candidates` yields them, with a third vertex fixed per class
+    (orbital branching, after Ostrowski, Linderoth, Rossi and Smriglio,
+    Math. Prog. 126, 2011, and McKay's isomorph rejection, J. Algorithms
+    26, 1998): for class C with first candidate x_C, `oracle.build_graph`
+    and the branch-and-bound search the candidates of classes C and later
+    that are adjacent to x_C, unless there are no more of them than the
+    incumbent already holds beyond the root and x_C.  Soundness: each class
+    is one orbit of the root's stabilizer, a group of automorphisms of the
+    graph that fixes every event of the root, so it maps candidates onto
+    candidates and keeps every class (see `pifam.graphs`).  Let K be a
+    largest set of pairwise adjacent candidates and C the first class that
+    K meets.  Some element of the stabilizer maps K's member in C onto x_C;
+    the image of K is a clique as large, through x_C, whose other members
+    are adjacent to x_C and lie in classes C or later.  So the clique number
+    through the root is |root| + 1 plus the largest, over the classes, of
+    the clique number of those candidates, which the class loop computes.
+    No bound is used, so this is exact at every n.
     """
     if upper_bound is not None and not _is_int(upper_bound):
         raise ParameterError(f"upper_bound must be an integer or None, got {_shown(upper_bound)}")
@@ -204,30 +222,41 @@ def max_clique(
             return finish("bound-met-by-search")
         cap = None if upper_bound is None else upper_bound - len(base)  # >= 1: the root is short
         cand: list[int] = []
+        starts: list[int] = []  # where each nonempty class of `cand` starts
         descent: list[int] = []
-        for x in oracle.candidates(root):
-            cand.append(x)
-            if cap is None:
-                continue
-            a = x.bit_count()
-            for y in descent:
-                if (x & y).bit_count() != meet(a, y.bit_count()):
-                    break
-            else:
-                descent.append(x)
-                if len(descent) == cap:
-                    break
-        if len(descent) == cap:
-            nodes += cap
+        for members in oracle.candidates(root):
+            start = len(cand)
+            for x in members:
+                cand.append(x)
+                a = x.bit_count()
+                for y in descent:
+                    if (x & y).bit_count() != meet(a, y.bit_count()):
+                        break
+                else:
+                    descent.append(x)
+                    if len(descent) == cap:  # root and descent meet the bound
+                        nodes += cap
+                        best = base + sorted(descent)
+                        return finish("bound-met-by-search")
+            if len(cand) > start:
+                starts.append(start)
+        nodes += len(descent)
+        if len(base) + len(descent) > len(best):
             best = base + sorted(descent)
-        elif cand:
-            graph = oracle.build_graph(cand)
-            size, bits, used = _branch_and_bound(graph.adj, len(best) - len(base), cap)
+        for start in starts:
+            x = cand[start]
+            a = x.bit_count()
+            later = [y for y in cand[start + 1:] if (x & y).bit_count() == meet(a, y.bit_count())]
+            lower = len(best) - len(base) - 1  # >= 0: the descent holds cand[0]
+            if len(later) <= lower:  # a clique among them cannot beat the incumbent
+                continue
+            graph = oracle.build_graph(later)
+            size, bits, used = _branch_and_bound(graph.adj, lower, None if cap is None else cap - 1)
             nodes += used
-            if len(base) + size > len(best):
-                best = base + sorted(v for i, v in enumerate(graph.cand) if bits >> i & 1)
-        if met(len(best)):
-            return finish("bound-met-by-search")
+            if size > lower:
+                best = base + sorted([x, *(v for i, v in enumerate(graph.cand) if bits >> i & 1)])
+                if met(len(best)):
+                    return finish("bound-met-by-search")
     return finish("branch-and-bound")
 
 

@@ -243,8 +243,10 @@ def test_g_exact_oracle_rederivation_small_n():
 
 @pytest.mark.parametrize("n", [n for n in sorted(G_VALUES) if n <= 10])
 def test_root_reduction_matches_unreduced_search(n):
-    # complement halving and one root per size class, searched with no
-    # bound, give the clique number of the whole graph, by networkx
+    # complement halving, one root per size class and one branch-and-bound
+    # per candidate class with its first candidate fixed, searched with no
+    # bound and at g(n) <= n or 1 + ν(n), give the clique number of the
+    # whole graph, by networkx
     rooted = max_clique(PowerSetGraphOracle(SampleSpace(n)))
     assert rooted.size == brute_g(n) == G_VALUES[n] == g_exact(n, "search").size
 
@@ -268,6 +270,24 @@ def test_squarefree_search_stops_at_the_size_quotient_bound(n):
 
 def refused(self, *args):
     raise AssertionError(f"{type(self).__name__} generated what the bound made needless")
+
+
+def flat(oracle, root):
+    """Every candidate of a root, class after class."""
+    return list(itertools.chain.from_iterable(oracle.candidates(root)))
+
+
+def fixed_third_vertex_lists(oracle, root):
+    """For each nonempty class C of a root, in order: the candidates of
+    classes C and later, after C's first, that are adjacent to C's first."""
+    classes = [list(members) for members in oracle.candidates(root)]
+    cand = [m for members in classes for m in members]
+    lists, start = [], 0
+    for members in classes:
+        if members:
+            lists.append([y for y in cand[start + 1:] if oracle.adjacent(members[0], y)])
+        start += len(members)
+    return lists
 
 
 @pytest.mark.parametrize("n", [6, 10, 14, 15])
@@ -296,7 +316,7 @@ def test_johnson_root_one_short_of_the_bound_takes_the_first_candidate(monkeypat
     result = max_clique(oracle, upper_bound=3)
     assert result.size == brute_johnson_omega(4, 2, 1) == 3
     assert (result.optimal, result.nodes_explored, result.method) == (True, 1, "bound-met-by-search")
-    assert result.witness == (*oracle.roots()[0], next(oracle.candidates(oracle.roots()[0])))
+    assert result.witness == (*oracle.roots()[0], flat(oracle, oracle.roots()[0])[0])
 
 
 @pytest.mark.parametrize("oracle, roots", [
@@ -307,11 +327,11 @@ def test_johnson_root_one_short_of_the_bound_takes_the_first_candidate(monkeypat
     (JohnsonGraphOracle(9, 3, 1), [(0b111,)]),
 ])
 def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
-    # with no bound, max_clique hands build_graph exactly what candidates
-    # generates for each root that has any, and build_graph reorders it;
-    # every candidate is adjacent to every event of its root
+    # with no bound, max_clique hands build_graph, for each class C of each
+    # root in turn, the candidates of classes C and later that meet C's first,
+    # and build_graph reorders them; a list is skipped only when it is too
+    # short to beat the final clique; every candidate is adjacent to its root
     roots = roots or oracle.roots()
-    cands = [list(oracle.candidates(root)) for root in roots]
     build, built = type(oracle).build_graph, []
 
     def recorded(self, cand):
@@ -321,33 +341,44 @@ def test_build_graph_orders_the_candidates(monkeypatch, oracle, roots):
 
     monkeypatch.setattr(type(oracle), "roots", lambda self: roots)
     monkeypatch.setattr(type(oracle), "build_graph", recorded)
-    max_clique(oracle)
-    assert [cand for cand, _ in built] == [cand for cand in cands if cand]
+    size = max_clique(oracle).size
     assert all(sorted(graph.cand) == sorted(cand) for cand, graph in built)
-    for root, cand in zip(roots, cands):
-        assert all(oracle.adjacent(c, u) for c in cand for u in root)
+    handed = iter(cand for cand, _ in built)
+    want = next(handed, None)
+    for root in roots:
+        for later in fixed_third_vertex_lists(oracle, root):
+            if later == want:
+                want = next(handed, None)
+            else:
+                assert len(root) + 1 + len(later) <= size
+        assert all(oracle.adjacent(c, u) for c in flat(oracle, root) for u in root)
+    assert want is None
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_johnson_root_candidates_equal_the_filtered_neighbours(n):
-    # the same list as filtering every neighbour of v0, ordered by k, the
-    # points taken from v0 - v1, then by the points in each cell; a rest
-    # smaller than r - s, as in (7,5,3), rules out the least k
+    # the neighbours of v0 that the filter keeps, one class per k, the points
+    # taken from v0 - v1: the largest class first, ties to the smaller k, each
+    # class ordered by the points in each cell; a rest smaller than r - s, as
+    # in (7,5,3), rules out the least k
     for s, r in itertools.combinations(range(1, n), 2):
         oracle = JohnsonGraphOracle(n, r, s)
         for root in oracle.roots():
             v0, v1 = root[0], root[-1]
             cells = (v0 & v1, v0 & ~v1, v1 & ~v0, ((1 << n) - 1) & ~(v0 | v1))
-            expected = sorted(johnson_common_neighbours(n, r, s, root),
-                              key=lambda m: ((m & cells[1]).bit_count(), cell_points(m, cells)))
-            assert list(oracle.candidates(root)) == expected
+            groups = {}
+            for m in johnson_common_neighbours(n, r, s, root):
+                groups.setdefault((m & cells[1]).bit_count(), []).append(m)
+            expected = [sorted(groups[k], key=lambda m: cell_points(m, cells))
+                        for k in sorted(groups, key=lambda k: (-len(groups[k]), k))]
+            assert [members for members in map(list, oracle.candidates(root)) if members] == expected
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_masks_are_the_filtered_count_vectors_in_order(monkeypatch, seed):
     # seeded random disjoint cells, empty ones included, and count vectors,
-    # some above a cell's size: the exact list of the filter; the limit is
-    # the count of masks, refused one below it
+    # some above a cell's size: one class per vector, in turn, each the exact
+    # list of the filter; the limit is the count of masks, refused one below it
     rng = random.Random(seed)
     points = rng.sample(range(12), rng.randint(0, 12))
     cuts = sorted(rng.randint(0, len(points)) for _ in range(rng.randint(0, 3)))
@@ -355,14 +386,45 @@ def test_masks_are_the_filtered_count_vectors_in_order(monkeypatch, seed):
     vectors = {tuple(rng.randint(0, cell.bit_count() + (rng.random() < 0.1)) for cell in cells)
                for _ in range(rng.randint(0, 5))}
     counts = rng.sample(sorted(vectors), len(vectors))
-    expected = cell_masks(cells, counts)
-    for limit in (len(expected), len(expected) - 1):
+    expected = [cell_masks(cells, [ks]) for ks in counts]
+    total = sum(map(len, expected))
+    for limit in (total, total - 1):
         monkeypatch.setattr(pifam.graphs, "MAX_VERTICES", limit)
-        if limit < len(expected):
-            with pytest.raises(CapacityError, match=rf"a root's {len(expected)} candidates exceed the {limit}-"):
+        if limit < total:
+            with pytest.raises(CapacityError, match=rf"a root's {total} candidates exceed the {limit}-"):
                 next(pifam.graphs._masks(cells, counts))
         else:
-            assert list(pifam.graphs._masks(cells, counts)) == expected
+            assert list(map(list, pifam.graphs._masks(cells, counts))) == expected
+
+
+def root_cells(oracle, root):
+    """The cells of a root's Venn partition: v - {n}, {n} and the rest for
+    a power-set root (Ω, v); v0∩v1, v0 - v1, v1 - v0 and the rest for a
+    Johnson root (v0, v1), with v1 = v0 for a vertex root."""
+    if isinstance(oracle, PowerSetGraphOracle):
+        n = oracle.space.n
+        v, top = root[-1], 1 << (n - 1)
+        return (v & ~top, top, ((1 << n) - 1) & ~v)
+    v0, v1 = root[0], root[-1]
+    return (v0 & v1, v0 & ~v1, v1 & ~v0, ((1 << oracle.n) - 1) & ~(v0 | v1))
+
+
+CLASS_ORACLES = {f"g{n}": PowerSetGraphOracle(SampleSpace(n)) for n in range(1, 13)}
+CLASS_ORACLES.update({f"j{n}-{r}-{s}": JohnsonGraphOracle(n, r, s) for n, r, s in
+                      [(7, 3, 1), (8, 4, 2), (9, 6, 4), (10, 4, 2), (11, 5, 2), (12, 6, 4), (7, 5, 1)]})
+
+
+@pytest.mark.parametrize("oracle", CLASS_ORACLES.values(), ids=list(CLASS_ORACLES))
+def test_each_class_is_one_count_vector_over_the_root_cells(oracle):
+    # a class is exactly the candidates with one vector of points per cell
+    # of the root, by the filter over the cells' union, and no two classes
+    # share a vector: one orbit of the permutations that keep every cell
+    for root in oracle.roots():
+        cells = root_cells(oracle, root)
+        classes = [members for members in map(list, oracle.candidates(root)) if members]
+        vectors = [tuple((members[0] & cell).bit_count() for cell in cells) for members in classes]
+        assert len(set(vectors)) == len(vectors)
+        assert classes == [cell_masks(cells, [vector]) for vector in vectors]
 
 
 @pytest.mark.parametrize("key", [(14, 7, 1), (12, 6, 1), (10, 5, 1)])
@@ -397,7 +459,7 @@ def test_build_graph_counts_intersections_once(monkeypatch, oracle):
 
     monkeypatch.setattr(pifam.graphs, "_intersection_graph", counted)
     monkeypatch.setattr(pifam.graphs, "_point_columns", transposed)
-    graph = oracle.build_graph(list(oracle.candidates(oracle.roots()[0])))
+    graph = oracle.build_graph(flat(oracle, oracle.roots()[0]))
     m = len(graph.cand)
     assert calls == [m] and graph.cand
     assert transposes == [(m, max(graph.cand).bit_length()), (m, m.bit_length()), (m, m)]
@@ -447,24 +509,28 @@ def stop_at_build(self, cand):
 def check_descents(monkeypatch, oracle):
     # at every root, each bound the greedy descent of its candidates can
     # meet closes the root with that many of them, in as many nodes and
-    # with no build; one more hands every candidate to build_graph
+    # with no build; under one more, the descent is the incumbent, and the
+    # first class whose candidates meeting its first could beat it goes to
+    # build_graph; if there is none, root and descent are the answer
     cls = type(oracle)
     monkeypatch.setattr(cls, "build_graph", stop_at_build)
     for root in oracle.roots():
-        cand = list(oracle.candidates(root))
-        descent = greedy_descent(cand, oracle.adjacent)
+        descent = greedy_descent(flat(oracle, root), oracle.adjacent)
         with monkeypatch.context() as patch:
             patch.setattr(cls, "roots", lambda self: [root])
             for k in range(1, len(descent) + 1):
                 result = max_clique(oracle, upper_bound=len(root) + k)
                 assert (result.witness, result.nodes_explored) == ((*root, *sorted(descent[:k])), k)
             short = len(root) + len(descent) + 1
-            if cand:
+            first = next((later for later in fixed_third_vertex_lists(oracle, root)
+                          if len(later) >= len(descent)), None)
+            if first is not None:
                 with pytest.raises(Built) as handed:
                     max_clique(oracle, upper_bound=short)
-                assert handed.value.args[0] == cand
+                assert handed.value.args[0] == first
             else:
-                assert max_clique(oracle, upper_bound=short).witness == root
+                result = max_clique(oracle, upper_bound=short)
+                assert (result.witness, result.nodes_explored) == ((*root, *sorted(descent)), len(descent))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -485,7 +551,7 @@ def test_first_descent_graph_is_a_clique_that_completes_its_root(monkeypatch, n)
     # returns root and descent as its witness without building a graph
     oracle = PowerSetGraphOracle(SampleSpace(n))
     root = oracle.roots()[0]
-    cand = list(oracle.candidates(root))
+    cand = flat(oracle, root)
     descent = greedy_descent(cand, oracle.adjacent)
     assert len(descent) == n - len(root) and set(descent) <= set(cand)
     assert all(oracle.adjacent(u, v) for u, v in itertools.combinations(descent, 2))
@@ -499,20 +565,22 @@ def test_first_descent_graph_is_a_clique_that_completes_its_root(monkeypatch, n)
 # order of the candidates or of their rows changes them
 SEARCH_ORDER_PINS = [
     (lambda: g_exact(8, "search"), 8, 6, (255, 135, 153, 170, 180, 204, 210, 225)),
-    (lambda: g_exact(9, "search"), 8, 54, (511, 259, 268, 373, 378, 438, 441, 448)),
-    (lambda: g_exact(12, "search"), 12, 10,
-     (4095, 2079, 2484, 2505, 2673, 2730, 2886, 3180, 3282, 3363, 3717, 3864)),
-    (lambda: johnson_omega(10, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
-    (lambda: johnson_omega(14, 10, 7), 13, 4301,
-     (1023, 7295, 8109, 8178, 11758, 12021, 12091, 13817, 14014, 14183, 14775, 15083, 15228)),
+    (lambda: g_exact(9, "search"), 8, 11, (511, 259, 317, 350, 352, 400, 430, 461)),
+    (lambda: g_exact(12, "search"), 12, 11,
+     (4095, 2079, 2275, 2516, 2680, 2853, 2954, 3244, 3378, 3401, 3654, 3729)),
+    (lambda: johnson_omega(10, 4, 2), 7, 6, (15, 51, 85, 105, 153, 165, 195)),
+    (lambda: johnson_omega(12, 4, 2), 7, 7, (15, 51, 85, 105, 153, 165, 195)),
+    (lambda: johnson_omega(12, 6, 4), 7, 12, (63, 207, 343, 423, 615, 663, 783)),
+    (lambda: johnson_omega(14, 10, 7), 13, 129,
+     (1023, 7295, 8115, 8156, 11679, 12021, 12154, 13817, 14014, 14167, 14838, 15067, 15165)),
     (lambda: g_exact(16, "search"), 16, 14,
-     (65535, 32895, 34730, 39321, 40455, 43745, 44370, 45900, 46260, 52020, 52428, 53970, 54625, 57735,
-      58905, 63530)),
+     (65535, 32895, 34695, 39321, 40545, 43690, 44370, 45900, 46260, 52020, 52428, 53970, 54570, 57825,
+      58905, 63495)),
 ]
 
 
 @pytest.mark.parametrize("call, size, nodes, witness", SEARCH_ORDER_PINS,
-                         ids=["g8", "g9", "g12", "j10-4-2", "j14-10-7", "g16"])
+                         ids=["g8", "g9", "g12", "j10-4-2", "j12-4-2", "j12-6-4", "j14-10-7", "g16"])
 def test_search_order_is_pinned(call, size, nodes, witness):
     result = call()
     assert (result.size, result.optimal, result.nodes_explored, result.witness) == (size, True, nodes, witness)
@@ -536,10 +604,17 @@ NOT_SQUAREFREE = [n for n in range(1, pifam.search.SEARCH_MAX_N + 1) if n not in
 
 
 class FullCandidatePowerSetGraph(PowerSetGraphOracle):
-    """The power-set graph whose roots take every candidate, by the filter in oracles.py."""
+    """The power-set graph whose roots take every candidate, by the filter in
+    oracles.py, one class per size: the events of one size containing point
+    n are one orbit of the permutations that keep the root.  Sizes go by
+    |2b - n|, the larger first on a tie; smallest first, the size-4 class
+    of n = 16 holds no clique that reaches 16, and proving it takes minutes."""
 
     def candidates(self, root):
-        return iter(power_set_root_candidates(self.space.n, root))
+        n = self.space.n
+        cand = power_set_root_candidates(n, root)
+        sizes = sorted(range(1, n), key=lambda b: (abs(2 * b - n), -b))
+        return iter([[m for m in cand if m.bit_count() == b] for b in sizes])
 
 
 @pytest.mark.parametrize("n", range(1, pifam.search.SEARCH_MAX_N + 1))
@@ -550,7 +625,7 @@ def test_power_set_root_candidates_are_the_filter_cut_to_core_sizes_at_core_root
     for root in oracle.roots():
         core = root[-1].bit_count() ** 2 % n == 0
         expected = [m for m in power_set_root_candidates(n, root) if not core or m.bit_count() ** 2 % n == 0]
-        assert sorted(oracle.candidates(root)) == expected
+        assert sorted(flat(oracle, root)) == expected
 
 
 def test_core_sizes_are_the_multiples_of_the_least_core_size():
@@ -583,7 +658,7 @@ def test_a_non_core_root_keeps_every_candidate(monkeypatch, n):
     assert max_clique(PowerSetGraphOracle(space)).size == 3
     generate = PowerSetGraphOracle.candidates
     monkeypatch.setattr(PowerSetGraphOracle, "candidates", lambda self, root: (
-        m for m in generate(self, root) if m.bit_count() ** 2 % n == 0))
+        [m for m in members if m.bit_count() ** 2 % n == 0] for members in generate(self, root)))
     assert max_clique(PowerSetGraphOracle(space)).size == 2
 
 
@@ -592,7 +667,7 @@ def test_g_search_node_counts_where_the_core_rule_drops_no_candidate(n):
     # at 4 and 9 every candidate of a core root has a core size already, and
     # squarefree n has no proper core size, so the rule leaves these searches as they were
     result = g_exact(n, "search")
-    assert (result.size, result.nodes_explored) == {4: (4, 2), 9: (8, 54)}.get(n, (3, 1))
+    assert (result.size, result.nodes_explored) == {4: (4, 2), 9: (8, 11)}.get(n, (3, 1))
 
 
 @pytest.mark.parametrize("n", SQUAREFREE)
@@ -763,6 +838,17 @@ EDGE_ROOT_JOHNSON = [
 ]
 
 
+@pytest.mark.parametrize("n,r,s", [(n, r, s) for n, r, s in EDGE_ROOT_JOHNSON if n - r >= r - s])
+def test_third_vertex_search_matches_networkx_on_johnson_graphs(n, r, s):
+    # one branch-and-bound per class of the edge root, each with that
+    # class's first candidate fixed, gives networkx's clique number of the
+    # whole graph, with no bound and at the least named bound of johnson_omega
+    omega = brute_johnson_omega(n, r, s)
+    assert max_clique(JohnsonGraphOracle(n, r, s)).size == omega
+    result = johnson_omega(n, r, s)
+    assert (result.size, result.optimal) == (omega, True)
+
+
 @pytest.mark.parametrize("n,r,s", EDGE_ROOT_JOHNSON)
 def test_johnson_edge_root_matches_vertex_root(n, r, s):
     # with no bound and no seed, the edge root's clique number is the
@@ -777,7 +863,7 @@ def test_johnson_roots_pins():
     assert JohnsonGraphOracle(7, 5, 1).roots() == [(0b11111,)]  # two 5-sets of 7 meet in >= 3
     assert johnson_omega(7, 5, 1).size == 1
     result = johnson_omega(11, 4, 2)
-    assert (result.size, result.optimal, result.nodes_explored) == (7, True, 10)  # 1 793 nodes from the vertex root
+    assert (result.size, result.optimal, result.nodes_explored) == (7, True, 6)  # 1 793 nodes from the vertex root
 
 
 @pytest.mark.parametrize("key,value,method", [
@@ -792,6 +878,18 @@ def test_johnson_closed_by_a_named_bound(key, value, method):
     assert (result.size, result.optimal, result.method) == (value, True, method)
     if method.endswith("seed"):
         assert result.nodes_explored == 0
+
+
+def test_johnson_search_at_a_bound_that_it_meets():
+    # the edge root of J(18,6,2) has 2 870 candidates in three classes; with
+    # a third vertex fixed per class, the search meets 16 (Delsarte's bound,
+    # met by the 16 blocks of the biplane 2-(16,6,2)) in 124 503 nodes,
+    # where one branch-and-bound over all of them took 6 571 417
+    oracle = JohnsonGraphOracle(18, 6, 2)
+    result = max_clique(oracle, upper_bound=16)
+    assert (result.size, result.optimal, result.method) == (16, True, "bound-met-by-search")
+    assert result.nodes_explored == 124503
+    assert all(oracle.adjacent(a, b) for a, b in itertools.combinations(result.witness, 2))
 
 
 def test_johnson_hadamard_seed_path():
