@@ -93,8 +93,20 @@ class HadamardMatrix(_checked("HadamardMatrix", "rows plus")):
                 if x == 1:
                     mask |= 1 << c
             plus.append(mask)
-        # <x, y> = n - 2|P xor Q| (see the module docstring); the diagonal
-        # <x, x> = n holds once the entries are +-1
+        return cls._orthogonal(rows, plus)
+
+    @classmethod
+    def _from_plus(cls, plus: list[int]) -> HadamardMatrix:
+        """The matrix whose row i is +1 on plus[i]'s columns and -1 elsewhere, from a generator's
+        masks (no entry check); rows are lists first, as tuple() of a map reallocs and raised peak RSS."""
+        sign, width = {"1": 1, "0": -1}.__getitem__, f"0{len(plus)}b"
+        return cls._orthogonal(tuple(tuple([*map(sign, format(p, width)[::-1])]) for p in plus), plus)
+
+    @classmethod
+    def _orthogonal(cls, rows: tuple[tuple[int, ...], ...], plus: list[int]) -> HadamardMatrix:
+        """The matrix on `rows` once they are pairwise orthogonal: <x, y> = n - 2|P xor Q|
+        (module docstring) is 0 when the XOR has n/2 bits; <x, x> = n as entries are +-1."""
+        n = len(plus)
         for i, p in enumerate(plus):
             for j in range(i + 1, n):
                 dot = n - 2 * (p ^ plus[j]).bit_count()
@@ -114,15 +126,18 @@ class HadamardMatrix(_checked("HadamardMatrix", "rows plus")):
 
 
 def sylvester(k: int) -> HadamardMatrix:
-    """Hadamard matrix of order 2^k by the doubling construction."""
+    """Hadamard matrix of order 2^k by the doubling construction: row r of
+    order m gives rows r + r and r + (-r) of order 2m, whose +1 masks are
+    P | P << m and P | (full ^ P) << m for P the mask of r, full = 2^m - 1."""
     if not _is_int(k) or k < 0:
         raise ParameterError(f"sylvester index must be a nonnegative integer, got {_shown(k)}")
     if k > 6:  # 2^6 = MAX_ORDER; 2**k of a huge k would not fit in memory
         raise CapacityError(f"sylvester supports orders up to {MAX_ORDER} (k <= 6), got k={_shown(k)}")
-    rows: list[list[int]] = [[1]]
-    for _ in range(k):
-        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
-    return HadamardMatrix(rows)
+    plus = [1]
+    for m in (1 << i for i in range(k)):
+        full = (1 << m) - 1
+        plus = [p | p << m for p in plus] + [p | (full ^ p) << m for p in plus]
+    return HadamardMatrix._from_plus(plus)
 
 
 def paley1(q: int) -> HadamardMatrix:
@@ -130,22 +145,18 @@ def paley1(q: int) -> HadamardMatrix:
 
     The quadratic-residue character on Z/q gives a skew conference
     matrix S (zero diagonal, all-ones border); H = I + S is Hadamard.
+    Row 1 is all +1; row i > 1 is -1 in column 1 and +1 in column j > 1 when
+    i - j is 0 or a residue mod q, that is, when d = j - i is in `base`, the d
+    with -d 0 or a residue mod q: on columns 2..q+1 row i is `base` rotated left by i - 2.
     """
     _check_prime_below(q, MAX_ORDER, f"q={_shown(q)} gives an order q+1 above the {MAX_ORDER} limit")
     if q % 4 != 3:
         raise ParameterError(f"q={q} is {q % 4} mod 4; the construction needs q = 3 mod 4")
     residues = {i * i % q for i in range(1, q)}
-    size = q + 1
-    rows = [[1] * size]
-    for i in range(1, size):
-        row = [-1]
-        for j in range(1, size):
-            if i == j:
-                row.append(1)
-            else:
-                row.append(1 if (i - j) % q in residues else -1)
-        rows.append(row)
-    return HadamardMatrix(rows)
+    base = sum(1 << d for d in range(q) if -d % q in residues or d == 0)
+    wide, low = base << q | base, (1 << q) - 1
+    plus = [(1 << q + 1) - 1] + [(wide >> q - a & low) << 1 for a in range(q)]
+    return HadamardMatrix._from_plus(plus)
 
 
 def sylvester_orders() -> list[int]:
@@ -164,10 +175,11 @@ def hadamard_matrix(order: int, method: str = "auto") -> HadamardMatrix:
         raise ParameterError(f"Hadamard order must be an integer, got {_shown(order)}")
     if order < 1:
         raise ParameterError(f"Hadamard order must be at least 1, got {_shown(order)}")
-    if method in ("auto", "sylvester") and order in sylvester_orders():
-        return sylvester(order.bit_length() - 1)
-    if method in ("auto", "paley") and order in paley_orders():
-        return paley1(order - 1)
+    if order <= MAX_ORDER:
+        if method != "paley" and order & (order - 1) == 0:
+            return sylvester(order.bit_length() - 1)
+        if method != "sylvester" and order % 4 == 0 and _is_prime(order - 1):
+            return paley1(order - 1)
     tried = {"sylvester": sylvester_orders(), "paley": paley_orders()}
     supported = tried[method] if method != "auto" else sorted(set(tried["sylvester"]) | set(tried["paley"]))
     raise CapacityError(
@@ -375,12 +387,18 @@ def projective_plane(q: int) -> Design:
         + [(0, 1, z) for z in range(q)]
         + [(0, 0, 1)]
     )
-    blocks = []
+    row, blocks = (1 << q) - 1, []
     for a, b, c in triples:
-        mask = 0
-        for idx, (x, y, z) in enumerate(triples):
-            if (a * x + b * y + c * z) % q == 0:
-                mask |= 1 << idx
+        # the points (1, y, z) and (0, 1, z), bits qy + z and q^2 + z, with s = ax + by:
+        # z = -s/c if c != 0, else every z if s = 0 and none if not; (0, 0, 1) if c = 0
+        if c:
+            k = q - pow(c, -1, q)  # -1/c
+            mask = 1 << q * q + b * k % q
+            for y in range(q):
+                mask |= 1 << q * y + (a + b * y) * k % q
+        else:
+            mask = sum(row << q * y for y in range(q) if (a + b * y) % q == 0)
+            mask |= (b == 0) * row << q * q | 1 << v - 1
         blocks.append(mask)
     return _symmetric_design(v, q + 1, 1, blocks, "projective plane")
 

@@ -129,11 +129,7 @@ class Event(_checked("Event", "space mask")):
     def __new__(cls, space: SampleSpace, mask: int) -> Event:
         if not isinstance(space, SampleSpace):
             raise ParameterError(f"space must be a SampleSpace, got {_shown(space)}")
-        if not _is_int(mask):
-            raise ParameterError(f"event mask {_shown(mask)} is not an integer")
-        if mask < 0 or mask > space.full_mask:
-            raise ParameterError(f"mask {mask:#x} has bits outside points 1..{space.n}")
-        return tuple.__new__(cls, (space, mask))
+        return tuple.__new__(cls, (space, _mask_on(space.n, mask)))
 
     @property
     def size(self) -> int:
@@ -161,6 +157,15 @@ class Event(_checked("Event", "space mask")):
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.points())) + "}"
+
+
+def _mask_on(n: int, mask: Any) -> int:
+    """`mask`, once checked to be an int with no bit outside the points 1..n."""
+    if type(mask) is not int and not _is_int(mask):
+        raise ParameterError(f"event mask {_shown(mask)} is not an integer")
+    if mask < 0 or mask >> n:
+        raise ParameterError(f"mask {mask:#x} has bits outside points 1..{n}")
+    return mask
 
 
 def _require_same_space(a: Event, b: Event) -> None:
@@ -240,8 +245,16 @@ class Family:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> Family:
+        """The family of the events `masks` on {1..n}: each mask gets `Event`'s
+        checks, then the masks `Family`'s distinctness check, one pass each."""
         space = SampleSpace(n)
-        return cls(space, tuple(space.event_from_mask(m) for m in masks))
+        events = tuple([tuple.__new__(Event, (space, _mask_on(n, m))) for m in masks])
+        if len({ev.mask for ev in events}) < len(events):
+            return cls(space, events)  # which words the first duplicate
+        family = object.__new__(cls)
+        object.__setattr__(family, "space", space)
+        object.__setattr__(family, "events", events)
+        return family
 
 
 def is_pairwise_independent(family: Iterable[Event]) -> bool:
@@ -251,7 +264,10 @@ def is_pairwise_independent(family: Iterable[Event]) -> bool:
 
 def violations(family: Family) -> Iterator[str]:
     """Why a family is not a g-family: each empty event, then each dependent
-    pair, in family order.  Yields nothing for a valid family."""
+    pair, in family order.  Yields nothing for a valid family, which
+    `is_valid_g_family` settles before any pair is worded."""
+    if is_valid_g_family(family):
+        return
     n, events, masks = family.space.n, family.events, family.masks()
     for ev in family:
         if ev.is_empty:
@@ -270,8 +286,23 @@ def is_valid_g_family(family: Family) -> bool:
 
     Such a family is automatically intersecting, because nonempty
     independent events satisfy |A intersect B| = |A||B|/n > 0.
+
+    The events are grouped by size.  n|A & B| = ab needs n | ab, so a pair of
+    size classes with n not dividing ab refuses the family before any popcount;
+    every other pair of events costs one AND-popcount against its classes' ab/n.
     """
-    return not any(violations(family))
+    n, by_size = family.space.n, {}
+    for m in family.masks():
+        by_size.setdefault(m.bit_count(), []).append(m)
+    pairs = list(itertools.combinations_with_replacement(by_size.items(), 2))
+    if 0 in by_size or any(a * b % n for (a, x), (b, y) in pairs if x is not y or len(x) > 1):
+        return False
+    for (a, x), (b, y) in pairs:
+        meet = a * b // n
+        for p, q in itertools.combinations(x, 2) if x is y else itertools.product(x, y):
+            if (p & q).bit_count() != meet:
+                return False
+    return True
 
 
 def _g_witness(n: int, proper: Iterable[int], what: str) -> Family:

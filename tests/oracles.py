@@ -9,7 +9,10 @@ normalization negates columns and rows entry by entry, a bit matrix
 is transposed one entry at a time, and the search's vertex orders are
 restated on neighbour lists: the degeneracy peel with a degree per
 vertex, and first-fit coloring one vertex at a time.  A root's candidates
-per cell come from filtering every mask on the cells' union.
+per cell come from filtering every mask on the cells' union.  The
+Hadamard generators are restated on +-1 lists, a projective plane by
+testing every point against every line, and a g-family and its
+violations by the plain loop over pairs.
 """
 
 from __future__ import annotations
@@ -269,3 +272,56 @@ def design_check_fields(v: int, k: int, lam: int, blocks) -> tuple:
                 break
     ok = sizes_ok and pairs_ok and inter_ok is not False
     return ok, symmetric, sizes_ok, pairs_ok, inter_ok, first
+
+
+def is_g_family(n: int, masks) -> bool:
+    """Every event nonempty and every pair independent, pair by pair."""
+    return 0 not in masks and all(independent_masks(n, a, b) for a, b in itertools.combinations(masks, 2))
+
+
+def violation_lines(n: int, masks) -> list[str]:
+    """Why `masks` is not a g-family on {1..n}, in the words of the library:
+    each empty event, then each dependent pair, in order."""
+    def shown(mask):
+        return "{" + ",".join(str(p + 1) for p in range(n) if mask >> p & 1) + "}"
+
+    lines = [f"event {shown(m)} is empty" for m in masks if not m]
+    for a, b in itertools.combinations(masks, 2):
+        if not independent_masks(n, a, b):
+            lines.append(f"{shown(a)} vs {shown(b)}: {n}*|A∩B| = {n * (a & b).bit_count()} "
+                         f"but |A|*|B| = {a.bit_count() * b.bit_count()}")
+    return lines
+
+
+def sylvester_rows(k: int) -> list[list[int]]:
+    """Sylvester's matrix of order 2^k: [[H, H], [H, -H]] on lists of +-1."""
+    rows = [[1]]
+    for _ in range(k):
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return rows
+
+
+def paley_rows(q: int) -> list[list[int]]:
+    """Paley's matrix of order q + 1 on lists of +-1: a row of +1, then row
+    i = 1..q is -1 in column 0 and, in column j = 1..q, +1 when i = j or
+    i - j is a nonzero square mod q."""
+    squares = {i * i % q for i in range(1, q)}
+    return [[1] * (q + 1)] + [
+        [-1] + [1 if i == j or (i - j) % q in squares else -1 for j in range(1, q + 1)]
+        for i in range(1, q + 1)
+    ]
+
+
+def matrix_text(rows) -> str:
+    """One line per row, '+' for +1 and '-' for -1."""
+    return "".join("".join("+" if x > 0 else "-" for x in row) + "\n" for row in rows)
+
+
+def plane_blocks(q: int) -> list[int]:
+    """The lines of the projective plane over F_q, q prime: point (x,y,z) is
+    on line [a,b,c] when ax + by + cz = 0 mod q, tested for every pair, both
+    indexed by the triples whose first nonzero coordinate is 1, in order."""
+    triples = ([(1, y, z) for y in range(q) for z in range(q)]
+               + [(0, 1, z) for z in range(q)] + [(0, 0, 1)])
+    return [sum(1 << i for i, (x, y, z) in enumerate(triples) if (a * x + b * y + c * z) % q == 0)
+            for a, b, c in triples]

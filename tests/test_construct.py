@@ -34,6 +34,8 @@ from pifam import (
 )
 from pifam.construct import MAX_BLOCKS
 
+from oracles import matrix_text, paley_rows, plane_blocks, sylvester_rows
+
 FANO_LINES = [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 6]]
 
 
@@ -65,6 +67,20 @@ def test_sylvester_examples():
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 23])
 def test_paley_orders_are_orthogonal(q):
     assert paley1(q).order == q + 1
+
+
+@pytest.mark.parametrize("order, method", [
+    (n, method) for method, orders in (("sylvester", sylvester_orders()), ("paley", paley_orders()))
+    for n in orders] + [(n, "auto") for n in sorted(set(sylvester_orders()) | set(paley_orders()))])
+def test_generators_emit_the_matrices_built_on_sign_lists(order, method):
+    # the mask generators against the doubling and the residue test on +-1
+    # lists; auto takes Sylvester's matrix where both generators cover the order
+    rows = (sylvester_rows(order.bit_length() - 1) if order & (order - 1) == 0 and method != "paley"
+            else paley_rows(order - 1))
+    h = hadamard_matrix(order, method)
+    assert hadamard_to_text(h) == matrix_text(rows)
+    assert h.rows == tuple(map(tuple, rows))
+    assert h.plus == tuple(sum(1 << c for c, x in enumerate(row) if x > 0) for row in rows)
 
 
 @pytest.mark.parametrize("q", [5, 9, 15, 4])
@@ -203,6 +219,11 @@ def test_projective_plane_parameters(q, v):
     assert (design.v, design.k, design.lam, design.b) == (v, q + 1, 1, v)
     report = check_design(design)
     assert report.ok and report.symmetric and report.intersections_ok
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_projective_plane_lines_are_those_of_every_point_line_test(q):
+    assert list(projective_plane(q).blocks) == plane_blocks(q)
 
 
 def test_projective_plane_rejects_non_primes_and_overflow():

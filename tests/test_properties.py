@@ -14,7 +14,12 @@ two, where the transpose pads to a square; the degeneracy order and the
 greedy coloring of the search agree with plain restatements on random
 graphs of up to 130 vertices, empty, sparse, dense and complete; Hadamard designs
 and families do not change under row and column negations of the
-generator matrices.
+generator matrices; the size-grouped g-family check agrees with the
+pair loop on random families and on relabelled Hadamard and dual-plane
+witnesses, perturbed, with an empty event or with an event whose size
+times another's is not a multiple of n, and on a one-point change to a
+generator's matrix, design or family, `violations`, `check_design` and
+the H H^T check name the first failing pair as the plain loops do.
 
 Examples are derandomized and no example database is kept, so a run is
 deterministic and writes nothing.
@@ -40,6 +45,7 @@ from pifam import (
     PowerSetGraphOracle,
     SampleSpace,
     check_design,
+    dualize_design,
     exactlin,
     family_from_dict,
     family_to_dict,
@@ -67,9 +73,11 @@ from oracles import (
     greedy_coloring,
     hadamard_gram_violation,
     independent_masks,
+    is_g_family,
     normalized_blocks,
     point_columns,
     rank_mod_p,
+    violation_lines,
 )
 
 # no deadline: a CLI example writes a file, and its time depends on the host
@@ -366,3 +374,79 @@ def test_sign_flips_leave_hadamard_designs_and_families_unchanged(h, data):
     masks = hadamard_family(h).masks()
     assert hadamard_family(flipped).masks() == masks
     assert masks == tuple(b | 1 << (n - 1) for b in blocks) + ((1 << n) - 1,)
+
+
+WITNESSES = [hadamard_family(h).masks() for h in GENERATOR_MATRICES] + [
+    dualize_design(projective_plane(q)).masks() for q in (2, 3, 5)]
+
+
+@st.composite
+def witness_families(draw):
+    """A Hadamard or dual-plane witness with its points and events shuffled,
+    mostly changed: one point of one event toggled or moved, the empty event
+    put in, or an event put in whose size s has n not dividing s|A| for some
+    event A of the witness; a change that repeats an event keeps the first."""
+    masks = draw(st.sampled_from(WITNESSES))
+    n = max(masks).bit_length()
+    perm = draw(st.permutations(range(n)))
+    masks = [sum(1 << perm[p] for p in range(n) if m >> p & 1) for m in draw(st.permutations(masks))]
+    change = draw(st.sampled_from(["none", "toggle", "move", "empty", "indivisible"]))
+    j = draw(st.integers(0, len(masks) - 1))
+    if change == "toggle":
+        masks[j] ^= 1 << draw(st.integers(0, n - 1))
+    elif change == "move" and masks[j] != (1 << n) - 1:
+        inside = [p for p in range(n) if masks[j] >> p & 1]
+        outside = [p for p in range(n) if not masks[j] >> p & 1]
+        masks[j] ^= 1 << draw(st.sampled_from(inside)) | 1 << draw(st.sampled_from(outside))
+    elif change == "empty":
+        masks.insert(j, 0)
+    elif change == "indivisible":
+        sizes = {m.bit_count() for m in masks}
+        size = draw(st.sampled_from([a for a in range(1, n) if any(a * b % n for b in sizes)]))
+        masks.insert(j, sum(1 << p for p in draw(st.permutations(range(n)))[:size]))
+    return Family.from_masks(n, list(dict.fromkeys(masks)))
+
+
+@PROPERTY
+@given(families(allow_empty=True) | witness_families())
+def test_size_grouped_check_matches_the_pair_loop(family):
+    n, masks = family.space.n, family.masks()
+    assert is_valid_g_family(family) == is_g_family(n, masks)
+    assert list(violations(family)) == violation_lines(n, masks)
+
+
+@PROPERTY
+@given(st.sampled_from(GENERATOR_MATRICES), st.data())
+def test_a_one_point_change_names_the_first_failing_pair_as_the_loops_do(h, data):
+    # one entry of the matrix, one point of a block moved (sizes kept), and
+    # one point of a family event toggled or moved
+    n = h.order
+    i, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    plus = list(h.plus)
+    plus[i] ^= 1 << c
+    rows = [[1 if p >> k & 1 else -1 for k in range(n)] for p in plus]
+    for build in lambda: HadamardMatrix(rows), lambda: HadamardMatrix._from_plus(plus):
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value) == hadamard_gram_violation(rows)
+
+    design = hadamard_to_design(h)
+    blocks = list(design.blocks)
+    j = data.draw(st.integers(0, len(blocks) - 1))
+    inside = [p for p in range(design.v) if blocks[j] >> p & 1]
+    outside = [p for p in range(design.v) if not blocks[j] >> p & 1]
+    blocks[j] ^= 1 << data.draw(st.sampled_from(inside)) | 1 << data.draw(st.sampled_from(outside))
+    moved = Design(design.v, design.k, design.lam, tuple(blocks))
+    want = design_check_fields(moved.v, moved.k, moved.lam, moved.blocks)
+    assert tuple(check_design(moved)) == want and want[5] is not None
+
+    masks = list(hadamard_family(h).masks())
+    j = data.draw(st.integers(0, n - 2))  # a proper event
+    inside = [p for p in range(n) if masks[j] >> p & 1]
+    outside = [p for p in range(n) if not masks[j] >> p & 1]
+    masks[j] ^= 1 << data.draw(st.sampled_from(inside))
+    if n > 4 and data.draw(st.booleans()):  # a move keeps the size; at n = 4 it can repeat an event
+        masks[j] |= 1 << data.draw(st.sampled_from(outside))
+    family = Family.from_masks(n, masks)
+    lines = violation_lines(n, masks)
+    assert list(violations(family)) == lines and lines and not is_valid_g_family(family)

@@ -51,6 +51,15 @@ from oracles import (
 G_VALUES = {1: 1, 2: 2, 3: 2, 4: 4, 5: 2, 6: 3, 7: 2, 8: 8, 9: 8, 10: 3,
             11: 2, 12: 12, 13: 2, 14: 3, 15: 3}
 JOHNSON_VALUES = {(4, 2, 1): 3, (8, 4, 2): 7, (9, 3, 1): 7, (6, 3, 1): 4}
+# clique numbers of the edge-root Johnson graphs with n = 11, computed with
+# brute_johnson_omega in oracles.py and frozen here, as networkx takes
+# seconds on the larger ones; the graphs with n <= 10 are checked against it live
+JOHNSON_11_VALUES = {
+    (11, 2, 1): 10, (11, 3, 1): 7, (11, 3, 2): 9, (11, 4, 1): 6, (11, 4, 2): 7, (11, 4, 3): 8,
+    (11, 5, 1): 2, (11, 5, 2): 11, (11, 5, 3): 7, (11, 5, 4): 7, (11, 6, 1): 2, (11, 6, 2): 2,
+    (11, 6, 3): 11, (11, 6, 4): 7, (11, 6, 5): 7, (11, 7, 3): 2, (11, 7, 4): 6, (11, 7, 5): 7,
+    (11, 7, 6): 8, (11, 8, 5): 3, (11, 8, 6): 7, (11, 8, 7): 9, (11, 9, 7): 5, (11, 9, 8): 10,
+}
 SQUAREFREE = [n for n in range(1, 64) if all(n % (p * p) for p in range(2, 8))]
 
 
@@ -843,7 +852,7 @@ def test_third_vertex_search_matches_networkx_on_johnson_graphs(n, r, s):
     # one branch-and-bound per class of the edge root, each with that
     # class's first candidate fixed, gives networkx's clique number of the
     # whole graph, with no bound and at the least named bound of johnson_omega
-    omega = brute_johnson_omega(n, r, s)
+    omega = JOHNSON_11_VALUES[n, r, s] if n == 11 else brute_johnson_omega(n, r, s)
     assert max_clique(JohnsonGraphOracle(n, r, s)).size == omega
     result = johnson_omega(n, r, s)
     assert (result.size, result.optimal) == (omega, True)
