@@ -14,10 +14,11 @@ fixes a third vertex per class on that ground.  The classes come in search
 order, generated in it: balanced sizes first (|2b - n| ascending) for the
 power set, the largest class first for Johnson.  `meet(a, b)` is the
 intersection size that joins events of sizes a and b, or None.
-`build_graph(cand)` builds the graph on candidates already generated: one
-bit-sliced intersection count, relabelled into reverse degeneracy order,
-each step transposed through `setsys._point_columns`.  `adjacent(a, b)`
-and `contains_vertex(v)` check seeds and witnesses apart from the search.
+`build_graph(cand)` counts the graph on candidates already generated in
+one bit-sliced pass and keeps them in the order generated: a greedy
+colouring bounds the clique number in any vertex order, so the search
+stays exact.  `adjacent(a, b)` and `contains_vertex(v)` check seeds and
+witnesses apart from the search.
 """
 
 from __future__ import annotations
@@ -32,59 +33,8 @@ MAX_VERTICES = 1 << 20  # the most candidates one root may build
 
 
 class _BuiltGraph(NamedTuple):
-    cand: list[int]  # vertices adjacent to every root vertex, in search order
+    cand: list[int]  # vertices adjacent to every root vertex, in generation order
     adj: list[int]   # adjacency bitsets over cand indices
-
-
-def _ordered(cand: list[int], meet: Callable[[int, int], int | None]) -> _BuiltGraph:
-    """The graph on `cand`, x ~ y iff |x∩y| = meet(|x|, |y|), in reverse degeneracy order.
-
-    Its adjacency A is counted once, in the order of `cand`, and relabelled
-    into the degeneracy order read off its rows, perm[i] renamed i, not
-    counted again.  A is symmetric (so is `meet`) and irreflexive (the count
-    clears the diagonal), so (P·A)ᵀ = A·Pᵀ and P·A·Pᵀ = P·(P·A)ᵀ: row i of
-    the result is column perm[i] of the rows [adj[v] for v in perm], which
-    a fresh count would give too.
-    """
-    adj = _intersection_graph(cand, meet)
-    perm = _degeneracy_permutation(adj)
-    cols = _point_columns([adj[v] for v in perm], len(perm))
-    return _BuiltGraph([cand[v] for v in perm], [cols[v] for v in perm])
-
-
-def _degeneracy_permutation(adj: list[int]) -> list[int]:
-    """Reverse degeneracy order: densest-core vertices first.
-
-    Peels the live vertex of least remaining degree, ties toward the
-    smallest index, so runs are reproducible.  The degrees are binary
-    counters sliced across all vertices, the transpose of the degree list,
-    so finding the least degree and removing a vertex's edges take a few
-    whole-bitset steps per vertex, not one step per edge.  Every operand
-    stays non-negative: CPython runs bitwise operations on a negative int
-    through a two's-complement copy, 2× slower at 64 bits and 8× at 10 780,
-    so `x & ~s` is written `x ^ (x & s)`.
-    """
-    m = len(adj)
-    slices = _point_columns([row.bit_count() for row in adj], m.bit_length())  # bit k of every degree
-    alive = (1 << m) - 1
-    peel: list[int] = []
-    while alive:
-        least = alive
-        for s in reversed(slices):
-            t = least & s
-            if t != least:  # some least vertex has bit k clear: keep those
-                least ^= t
-        v = (least & -least).bit_length() - 1
-        peel.append(v)
-        alive ^= 1 << v
-        borrow = adj[v] & alive
-        for k, s in enumerate(slices):
-            if not borrow:
-                break
-            slices[k] = s ^ borrow
-            borrow ^= borrow & s
-    peel.reverse()
-    return peel
 
 
 def _bits(mask: int) -> list[int]:
@@ -255,7 +205,7 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
 
     def build_graph(self, cand: list[int]) -> _BuiltGraph:
         """The graph on `cand`, candidates of one root."""
-        return _ordered(cand, self.meet)
+        return _BuiltGraph(cand, _intersection_graph(cand, self.meet))
 
 
 class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
@@ -340,4 +290,4 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
 
     def build_graph(self, cand: list[int]) -> _BuiltGraph:
         """The graph on `cand`, candidates of one root."""
-        return _ordered(cand, self.meet)
+        return _BuiltGraph(cand, _intersection_graph(cand, self.meet))

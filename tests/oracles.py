@@ -6,9 +6,9 @@ prime, clique numbers through networkx, the independence relation is
 restated from scratch, the H H^T = nI and design-axiom checks are the
 plain loops over row pairs, point pairs and blocks, Hadamard
 normalization negates columns and rows entry by entry, a bit matrix
-is transposed one entry at a time, and the search's vertex orders are
-restated on neighbour lists: the degeneracy peel with a degree per
-vertex, and first-fit coloring one vertex at a time.  A root's candidates
+is transposed one entry at a time, a candidate graph is counted by the
+loop over pairs, and the search's first-fit coloring is restated on
+neighbour lists, one vertex at a time.  A root's candidates
 per cell come from filtering every mask on the cells' union.  The
 Hadamard generators are restated on +-1 lists, a projective plane by
 testing every point against every line, and a g-family and its
@@ -185,20 +185,12 @@ def brute_max_clique(matrix) -> int:
     return size
 
 
-def degeneracy_order(adj) -> list[int]:
-    """Reverse of the peel that removes a live vertex of least degree among
-    the live vertices, ties to the smallest index; rows are neighbour bitsets."""
-    nbrs = [[j for j in range(len(adj)) if row >> j & 1] for row in adj]
-    degree = [len(ns) for ns in nbrs]
-    alive = set(range(len(adj)))
-    peel = []
-    while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
-        alive.remove(v)
-        peel.append(v)
-        for u in nbrs[v]:
-            degree[u] -= 1
-    return peel[::-1]
+def intersection_rows(cand, meet) -> list[int]:
+    """Adjacency bitsets over `cand` by the loop over pairs: x ~ y iff
+    x != y and |x & y| = meet(|x|, |y|)."""
+    return [sum(1 << j for j, y in enumerate(cand)
+                if x != y and (x & y).bit_count() == meet(x.bit_count(), y.bit_count()))
+            for x in cand]
 
 
 def greedy_coloring(p: int, adj) -> tuple[list[int], list[int]]:

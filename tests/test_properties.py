@@ -7,12 +7,12 @@ mod p for p = 2^2 - 1, 2^13 - 1 and 2^127 - 1 on 0/1 matrices of up to
 transpose agrees with an entry-by-entry one on up to 130 rows and 70
 columns, wide, square and tall; the bit-parallel
 H H^T = nI and design-axiom checks agree with the plain loops in the
-oracles on random and perturbed matrices and designs; a relabelled
-candidate graph equals a fresh count in its order, under both oracles'
-intersection rules, on lists whose length is at or next to a power of
-two, where the transpose pads to a square; the degeneracy order and the
-greedy coloring of the search agree with plain restatements on random
-graphs of up to 130 vertices, empty, sparse, dense and complete; Hadamard designs
+oracles on random and perturbed matrices and designs; a built candidate
+graph keeps the candidates in their given order and equals the loop over
+pairs, under both oracles' intersection rules, on lists whose length is
+at or next to a power of two; the greedy coloring of the search agrees
+with a plain restatement on random graphs of up to 130 vertices, empty,
+sparse, dense and complete; Hadamard designs
 and families do not change under row and column negations of the
 generator matrices; the size-grouped g-family check agrees with the
 pair loop on random families and on relabelled Hadamard and dual-plane
@@ -41,6 +41,7 @@ from pifam import (
     Design,
     Family,
     HadamardMatrix,
+    JohnsonGraphOracle,
     ParameterError,
     PowerSetGraphOracle,
     SampleSpace,
@@ -49,7 +50,6 @@ from pifam import (
     exactlin,
     family_from_dict,
     family_to_dict,
-    graphs,
     gram_certify,
     hadamard_family,
     hadamard_matrix,
@@ -67,12 +67,12 @@ from pifam import (
 from pifam.cli import main
 
 from oracles import (
-    degeneracy_order,
     design_check_fields,
     fraction_rank,
     greedy_coloring,
     hadamard_gram_violation,
     independent_masks,
+    intersection_rows,
     is_g_family,
     normalized_blocks,
     point_columns,
@@ -186,7 +186,8 @@ def test_point_columns_is_the_transpose(shape, data):
     assert setsys._point_columns([], n) == [0] * n
 
 
-# no candidates, and lengths at and next to the padded square's sides 1, 2, 64 and 128
+# no candidates, one, two, and lengths at and next to 64 and 128, which the
+# point-column transpose stacks onto its side of 8 or 16 rows
 RELABEL_SIZES = (0, 1, 2, 63, 64, 65, 129)
 
 
@@ -205,14 +206,13 @@ def candidate_lists(draw, m):
 @settings(PROPERTY, max_examples=20)
 @given(data=st.data())
 def test_relabelled_graph_equals_a_recount(m, data):
+    # the built graph keeps the candidates in their given order, and its
+    # bit-sliced count equals a pair loop, under both oracles' rules
     n, cand, s = data.draw(candidate_lists(m))
-    for meet in PowerSetGraphOracle(SampleSpace(n)).meet, lambda a, b: s:
-        perm = graphs._degeneracy_permutation(graphs._intersection_graph(cand, meet))
-        graph = graphs._ordered(cand, meet)
-        assert graph.cand == [cand[v] for v in perm]
-        assert graph.adj == graphs._intersection_graph(graph.cand, meet)
-        edges = {(i, j) for i, row in enumerate(graph.adj) for j in range(row.bit_length()) if row >> j & 1}
-        assert all(i != j and (j, i) in edges for i, j in edges)
+    for oracle in PowerSetGraphOracle(SampleSpace(n)), JohnsonGraphOracle(n, s + 1, s):
+        graph = oracle.build_graph(cand)
+        assert graph.cand == cand
+        assert graph.adj == intersection_rows(cand, oracle.meet)
 
 
 @st.composite
@@ -228,12 +228,6 @@ def random_graphs(draw):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return adj
-
-
-@settings(PROPERTY, max_examples=40)
-@given(random_graphs())
-def test_degeneracy_order_is_the_least_degree_peel(adj):
-    assert graphs._degeneracy_permutation(adj) == degeneracy_order(adj)
 
 
 @settings(PROPERTY, max_examples=40)
