@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 input or validation failure or a failed
 certificate check (CertificateError, reported as "error: ..."), 2 capacity
-limit.  A reader that closes stdout early (`pifam ... | head -1`) gets
-exit 1 with nothing more printed.
+limit or out of memory (MemoryError, "error: out of memory").  A reader
+that closes stdout early (`pifam ... | head -1`) gets exit 1 with nothing
+more printed.
 All human-facing indices are 1-based; all behavior is flag-driven.
 """
 
@@ -59,8 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         # exit-time flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:  # the unwound call has freed what it held
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (CertificateError, ValueError, OSError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

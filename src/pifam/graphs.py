@@ -18,7 +18,10 @@ intersection size that joins events of sizes a and b, or None.
 one bit-sliced pass and keeps them in the order generated: a greedy
 colouring bounds the clique number in any vertex order, so the search
 stays exact.  `adjacent(a, b)` and `contains_vertex(v)` check seeds and
-witnesses apart from the search.
+witnesses apart from the search.  A vertex is an int, not a bool, in the
+graph's range; `adjacent` states that rule itself for both endpoints,
+without calling `contains_vertex`, so a subclass that overrides only
+`contains_vertex` does not change `adjacent`.
 """
 
 from __future__ import annotations
@@ -95,19 +98,22 @@ def _intersection_graph(
             low = rest & -rest
             rest ^= low
             carry = cols[low.bit_length() - 1]
-            for k, s in enumerate(slices):
+            k = 0
+            for s in slices:
                 slices[k] = s ^ carry
                 carry &= s
                 if not carry:
                     break
-            if carry:
+                k += 1
+            else:  # a carry out of the top slice starts a new one
                 slices.append(carry)
         row = 0
         for w, members in wanted[x.bit_count()]:
             if w >> len(slices):
                 continue
-            for k, s in enumerate(slices):
-                members = members & s if w >> k & 1 else members ^ (members & s)
+            for s in slices:  # w's bits, lowest first
+                members = members & s if w & 1 else members ^ (members & s)
+                w >>= 1
             row |= members
         adj.append(row ^ (row & 1 << i))
     return adj
@@ -124,12 +130,14 @@ class PowerSetGraphOracle(_checked("PowerSetGraphOracle", "space")):
         return tuple.__new__(cls, (space,))
 
     def contains_vertex(self, mask: int) -> bool:
-        return _is_int(mask) and 0 < mask and not mask >> self.space.n
+        return (type(mask) is int or _is_int(mask)) and 0 < mask and not mask >> self.space.n
 
     def adjacent(self, a: int, b: int) -> bool:
-        if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
+        n = self.space.n
+        if (a == b or not (type(a) is int or _is_int(a)) or not (type(b) is int or _is_int(b))
+                or a <= 0 or b <= 0 or (a | b) >> n):
             return False
-        return self.space.n * (a & b).bit_count() == a.bit_count() * b.bit_count()
+        return n * (a & b).bit_count() == a.bit_count() * b.bit_count()
 
     def meet(self, a: int, b: int) -> int | None:
         """The intersection size that makes events of sizes a and b independent."""
@@ -231,12 +239,14 @@ class JohnsonGraphOracle(_checked("JohnsonGraphOracle", "n r s")):
         return tuple.__new__(cls, (n, r, s))
 
     def contains_vertex(self, mask: int) -> bool:
-        return _is_int(mask) and 0 < mask < 1 << self.n and mask.bit_count() == self.r
+        return (type(mask) is int or _is_int(mask)) and 0 < mask < 1 << self.n and mask.bit_count() == self.r
 
     def adjacent(self, a: int, b: int) -> bool:
-        if a == b or not (self.contains_vertex(a) and self.contains_vertex(b)):
+        n, r, s = self
+        if (a == b or not (type(a) is int or _is_int(a)) or not (type(b) is int or _is_int(b))
+                or a <= 0 or b <= 0 or (a | b) >> n or a.bit_count() != r or b.bit_count() != r):
             return False
-        return (a & b).bit_count() == self.s
+        return (a & b).bit_count() == s
 
     def roots(self) -> list[tuple[int, ...]]:
         """The single edge root (v0, v1), v0 = {1..r} and

@@ -2,9 +2,10 @@
 
 Nothing here shares code with the package internals: rank goes through
 textbook Gaussian elimination on lists of rationals or of ints mod a
-prime, clique numbers through networkx, the independence relation is
-restated from scratch, the H H^T = nI and design-axiom checks are the
-plain loops over row pairs, point pairs and blocks, Hadamard
+prime, clique numbers through networkx, the independence relation and
+the oracles' adjacency with their vertex rule are restated from
+scratch, the H H^T = nI and design-axiom checks are the plain loops
+over row pairs, point pairs and blocks, Hadamard
 normalization negates columns and rows entry by entry, a bit matrix
 is transposed one entry at a time, a candidate graph is counted by the
 loop over pairs, and the search's first-fit coloring is restated on
@@ -77,6 +78,25 @@ def rank_mod_p(matrix, p: int) -> int:
 def independent_masks(n: int, a: int, b: int) -> bool:
     """The independence relation restated directly: n|A∩B| = |A||B|."""
     return n * (a & b).bit_count() == a.bit_count() * b.bit_count()
+
+
+def graph_vertex(v, n: int, r: int | None = None) -> bool:
+    """A vertex of the power-set graph on {1..n} (r None) or of J(n, r, s),
+    restated: an int, not a bool, naming a nonempty set of points in 1..n,
+    of size r if given."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 < v < 2 ** n:
+        return False
+    return r is None or bin(v).count("1") == r
+
+
+def graph_adjacent(a, b, n: int, r: int | None = None, s: int | None = None) -> bool:
+    """Adjacency of the same graphs, restated: a != b, both are vertices,
+    then n|A∩B| = |A||B| (power set) or |A∩B| = s (Johnson)."""
+    if a == b or not (graph_vertex(a, n, r) and graph_vertex(b, n, r)):
+        return False
+    if r is None:
+        return independent_masks(n, a, b)
+    return bin(a & b).count("1") == s
 
 
 def power_set_root_candidates(n: int, root) -> list[int]:

@@ -324,6 +324,16 @@ def test_certificate_failure_exits_one(monkeypatch, capsys):
     assert err == "error: witness fails adjacency: 1 vs 2\n"
 
 
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    def exhausted(n, r, s):
+        raise MemoryError
+
+    monkeypatch.setattr(pifam.cli, "johnson_omega", exhausted)
+    code, out, err = run(capsys, "johnson", "--n", "30", "--r", "6", "--s", "1")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_family_gram_rejects_empty_event(tmp_path, capsys):
     family_file = tmp_path / "empty-event.json"
     family_file.write_text(json.dumps({"n": 2, "events": [[], [1, 2]]}))

@@ -22,7 +22,9 @@ generator's matrix, design or family, `violations`, `check_design` and
 the H H^T check name the first failing pair as the plain loops do.
 
 Examples are derandomized and no example database is kept, so a run is
-deterministic and writes nothing.
+deterministic.  Hypothesis still writes `.hypothesis/` in the working
+directory: its cache of the constants it reads from the tested modules,
+and a patch file when a property fails (the folder is gitignored).
 """
 
 import contextlib

@@ -40,6 +40,8 @@ from oracles import (
     brute_max_clique,
     cell_masks,
     cell_points,
+    graph_adjacent,
+    graph_vertex,
     greedy_descent,
     johnson_common_neighbours,
     power_set_root_candidates,
@@ -920,7 +922,33 @@ def test_johnson_validation():
         JohnsonGraphOracle(60, 30, 15)
 
 
+class _Vertex(int):
+    pass
+
+
 def test_johnson_oracle_adjacency_needs_two_distinct_vertices():
+    # on both oracles, every endpoint goes through the vertex rule: an int that
+    # is not a bool, naming a nonempty set of points in 1..n (of size r for
+    # Johnson); the odd ints below meet some vertex in the wanted number of
+    # points when their bits are read as a set, so a dropped bool or range
+    # check turns a non-edge into an edge
+    oracles = [PowerSetGraphOracle(SampleSpace(n)) for n in (1, 4, 6)]
+    oracles += [JohnsonGraphOracle(*k) for k in ((5, 2, 1), (6, 3, 1), (7, 4, 2))]
+    for oracle in oracles:
+        johnson = isinstance(oracle, JohnsonGraphOracle)
+        n = oracle.n if johnson else oracle.space.n
+        r, s = (oracle.r, oracle.s) if johnson else (None, None)
+        odd = [True, False, 0, -1, -3, -(1 << n) | 3, 1 << n, 1 << n | 1, 1 << n | 3, (1 << n + 1) - 1,
+               1.0, 3.0, float((1 << n) - 1), _Vertex(1), _Vertex(3), _Vertex((1 << n) - 1), _Vertex(1 << n | 1)]
+        if johnson:
+            odd += [1, (1 << r + 1) - 1, (1 << r - 1) - 1 << 1]  # sizes 1, r + 1 and r - 1
+        values = odd + list(range(1, 1 << n))
+        for v in values:
+            assert oracle.contains_vertex(v) is graph_vertex(v, n, r), (oracle, v)
+        for a, b in itertools.product(values, repeat=2):
+            got = oracle.adjacent(a, b)
+            assert got == oracle.adjacent(b, a), (oracle, a, b)
+            assert got == graph_adjacent(a, b, n, r, s), (oracle, a, b)
     oracle = JohnsonGraphOracle(5, 2, 1)
     assert oracle.adjacent(0b00011, 0b00110)
     assert not oracle.adjacent(0b00011, 0b00011)
