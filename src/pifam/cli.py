@@ -6,6 +6,8 @@ limit or out of memory (MemoryError, "error: out of memory").  A reader
 that closes stdout early (`pifam ... | head -1`) gets exit 1 with nothing
 more printed.
 All human-facing indices are 1-based; all behavior is flag-driven.
+Each command imports the library functions it calls when it runs, so a
+process runs only the submodules its command uses (see `pifam`).
 """
 
 from __future__ import annotations
@@ -15,24 +17,8 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .construct import (
-    HadamardMatrix,
-    check_design,
-    design_from_dict,
-    design_to_dict,
-    dualize_design,
-    hadamard_family,
-    hadamard_from_json,
-    hadamard_from_text,
-    hadamard_matrix,
-    hadamard_to_design,
-    hadamard_to_json,
-    hadamard_to_text,
-    projective_plane,
-)
-from .exactlin import gram_certify
-from .search import conjecture_sweep, g_exact, implied_f_bound, johnson_omega
 from .setsys import (
     CapacityError,
     CertificateError,
@@ -42,6 +28,9 @@ from .setsys import (
     mask_to_points,
     violations,
 )
+
+if TYPE_CHECKING:
+    from .construct import HadamardMatrix
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,6 +130,8 @@ def _add_matrix_source(p: argparse.ArgumentParser) -> None:
 
 
 def _matrix_from_args(args: argparse.Namespace) -> HadamardMatrix:
+    from .construct import hadamard_from_json, hadamard_from_text, hadamard_matrix
+
     if args.matrix is None:
         return hadamard_matrix(args.order)
     try:
@@ -170,6 +161,8 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _cmd_gmax(args: argparse.Namespace) -> int:
+    from .search import g_exact
+
     result = g_exact(args.n, args.method)
     witness = {"n": args.n, "events": [list(mask_to_points(m)) for m in result.witness]}
     if args.json:
@@ -194,6 +187,8 @@ def _cmd_gmax(args: argparse.Namespace) -> int:
 
 
 def _cmd_hadamard(args: argparse.Namespace) -> int:
+    from .construct import hadamard_matrix, hadamard_to_json, hadamard_to_text
+
     h = hadamard_matrix(args.order, args.method)
     if args.format == "json":
         _emit(json.dumps(hadamard_to_json(h)), args.out)
@@ -203,18 +198,24 @@ def _cmd_hadamard(args: argparse.Namespace) -> int:
 
 
 def _cmd_design_from_hadamard(args: argparse.Namespace) -> int:
+    from .construct import design_to_dict, hadamard_to_design
+
     design = hadamard_to_design(_matrix_from_args(args))
     _emit(json.dumps(design_to_dict(design), indent=2), args.out)
     return 0
 
 
 def _cmd_design_plane(args: argparse.Namespace) -> int:
+    from .construct import design_to_dict, projective_plane
+
     design = projective_plane(args.q)
     _emit(json.dumps(design_to_dict(design), indent=2), args.out)
     return 0
 
 
 def _cmd_design_check(args: argparse.Namespace) -> int:
+    from .construct import check_design, design_from_dict
+
     design = design_from_dict(_load_json(args.file))
     report = check_design(design)
     print(f"design: 2-({design.v},{design.k},{design.lam}), {design.b} blocks")
@@ -230,6 +231,8 @@ def _cmd_design_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_from_design(args: argparse.Namespace) -> int:
+    from .construct import design_from_dict, dualize_design
+
     design = design_from_dict(_load_json(args.file))
     family = dualize_design(design)
     r = family.events[0].size
@@ -241,6 +244,8 @@ def _cmd_family_from_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_from_hadamard(args: argparse.Namespace) -> int:
+    from .construct import hadamard_family
+
     family = hadamard_family(_matrix_from_args(args))
     _emit(json.dumps(family_to_dict(family), indent=2), args.out)
     return 0
@@ -260,6 +265,8 @@ def _cmd_family_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family_gram(args: argparse.Namespace) -> int:
+    from .exactlin import gram_certify
+
     family = family_from_dict(_load_json(args.file))
     report = gram_certify(family)
     print(json.dumps(report.to_dict(), indent=2))
@@ -267,6 +274,8 @@ def _cmd_family_gram(args: argparse.Namespace) -> int:
 
 
 def _cmd_johnson(args: argparse.Namespace) -> int:
+    from .search import implied_f_bound, johnson_omega
+
     result = johnson_omega(args.n, args.r, args.s)
     bound = implied_f_bound(args.n, args.r, args.s, result.size)
     if args.json:
@@ -290,6 +299,8 @@ def _cmd_johnson(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
+    from .search import conjecture_sweep
+
     rows = conjecture_sweep(args.max)
     print(f"{'n':>4}  {'g(n)':>5}  {'method':<24}  verdict")
     for row in rows:

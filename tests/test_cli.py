@@ -318,7 +318,7 @@ def test_certificate_failure_exits_one(monkeypatch, capsys):
     def broken(n, method):
         raise CertificateError("witness fails adjacency: 1 vs 2")
 
-    monkeypatch.setattr(pifam.cli, "g_exact", broken)
+    monkeypatch.setattr(pifam.search, "g_exact", broken)
     code, out, err = run(capsys, "gmax", "--n", "4")
     assert code == 1 and out == ""
     assert err == "error: witness fails adjacency: 1 vs 2\n"
@@ -328,7 +328,7 @@ def test_out_of_memory_exits_two(monkeypatch, capsys):
     def exhausted(n, r, s):
         raise MemoryError
 
-    monkeypatch.setattr(pifam.cli, "johnson_omega", exhausted)
+    monkeypatch.setattr(pifam.search, "johnson_omega", exhausted)
     code, out, err = run(capsys, "johnson", "--n", "30", "--r", "6", "--s", "1")
     assert code == 2 and out == ""
     assert err == "error: out of memory\n"
